@@ -1,44 +1,72 @@
 #include "ingest/gzip_index.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <fstream>
 #include <iterator>
 
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/crc32.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso::ingest {
 namespace {
 
-struct IngestCounters {
-  obs::Counter index_builds;
-  obs::Counter sidecar_loads;
-  obs::Counter chunks_indexed;
-  obs::Counter chunk_fallbacks;
-  obs::Counter boundary_candidates;
-  obs::Counter boundary_bits_scanned;
-  obs::Counter bytes_indexed;
+struct IngestObs {
+  obs::Counter index_builds = obs::registry().counter("ingest.index_builds", "builds");
+  obs::Counter sidecar_loads = obs::registry().counter("ingest.sidecar_loads", "loads");
+  obs::Counter chunks_indexed =
+      obs::registry().counter("ingest.chunks_indexed", "chunks");
+  obs::Counter chunk_fallbacks =
+      obs::registry().counter("ingest.chunk_fallbacks", "chunks");
+  obs::Counter boundary_candidates =
+      obs::registry().counter("ingest.boundary_candidates", "candidates");
+  obs::Counter boundary_bits_scanned =
+      obs::registry().counter("ingest.boundary_bits_scanned", "bits");
+  obs::Counter bytes_indexed = obs::registry().counter("ingest.bytes_indexed", "bytes");
+  // Build stages, one sample per call: the boundary scan and decode of
+  // a cell's speculative task, the pooled patch+CRC of a stitched
+  // marker cell, the serial stitch of each indexed chunk, and in-order
+  // decodes with the true window (every cell of a 1-thread build,
+  // speculation misses of a parallel one).
+  obs::Histogram scan_us = obs::registry().histogram("ingest.scan_us", "us");
+  obs::Histogram marker_decode_us =
+      obs::registry().histogram("ingest.marker_decode_us", "us");
+  obs::Histogram patch_crc_us = obs::registry().histogram("ingest.patch_crc_us", "us");
+  obs::Histogram stitch_us = obs::registry().histogram("ingest.stitch_us", "us");
+  obs::Histogram fallback_us = obs::registry().histogram("ingest.fallback_us", "us");
 };
 
-const IngestCounters& counters() {
-  static const IngestCounters c = {
-      obs::registry().counter("ingest.index_builds", "builds"),
-      obs::registry().counter("ingest.sidecar_loads", "loads"),
-      obs::registry().counter("ingest.chunks_indexed", "chunks"),
-      obs::registry().counter("ingest.chunk_fallbacks", "chunks"),
-      obs::registry().counter("ingest.boundary_candidates", "candidates"),
-      obs::registry().counter("ingest.boundary_bits_scanned", "bits"),
-      obs::registry().counter("ingest.bytes_indexed", "bytes"),
-  };
-  return c;
+const IngestObs& ingest_obs() {
+  static const IngestObs instance;
+  return instance;
 }
 
 /// Extra slice bytes past the grid pitch so a block straddling the
 /// nominal chunk end usually decodes without a grow-and-retry.
 constexpr std::uint64_t kSliceMargin = 64 * 1024;
 
-/// One grid cell's speculative work, filled in by a pool worker.
+/// Tokens patched per step of a patch+CRC task. The patched piece is
+/// checksummed while it is still in cache, so no per-cell output
+/// buffer ever exists.
+constexpr std::size_t kPatchPiece = 64 * 1024;
+
+/// CRC32 and length of one member segment of a cell's output.
+struct SegmentCrc {
+  std::uint32_t crc = 0;
+  std::uint64_t len = 0;
+};
+
+/// Buffers one build participant reuses across cells.
+struct WorkerScratch {
+  InflateScratch inflate;
+  Bytes slice;  // staged compressed bytes
+  Bytes piece;  // patch+CRC output
+};
+
+/// One grid cell: its speculative task, then (once stitched) its final
+/// decode result and member-segment checksums.
 struct ChunkTask {
   // Inputs.
   std::uint64_t grid_byte = 0;       // c_i: cell begin (slice base)
@@ -51,16 +79,90 @@ struct ChunkTask {
   std::uint64_t found_bit = 0;  // absolute block boundary the decode used
   std::uint64_t end_bit = 0;    // absolute end of the decoded run
   ChunkStatus status = ChunkStatus::kStopped;
-  std::vector<std::uint16_t> tokens;   // marker mode
-  Bytes bytes;                         // byte mode
-  std::vector<MemberEvent> members;    // out_offsets are chunk-relative
+  Bytes bytes;                       // byte mode
+  std::vector<MemberEvent> members;  // out_offsets are chunk-relative
   BoundaryScanStats stats;
+  // members.size() + 1 once the cell is stitched and checksummed; empty
+  // for a cell the predecessor's run ate.
+  std::vector<SegmentCrc> segments;
 };
+
+ByteSpan stage_slice(serve::ByteSource& source, std::uint64_t base,
+                     std::uint64_t len, Bytes& buf) {
+  buf.resize(static_cast<std::size_t>(len));
+  source.read_at(base, MutableByteSpan(buf.data(), buf.size()));
+  return ByteSpan(buf.data(), buf.size());
+}
+
+/// Checksums each member segment of a cell's `size` output bytes: the
+/// pieces between the cell edges and the member trailers inside it.
+/// crc_range(a, b) returns the CRC32 of output bytes [a, b).
+template <typename CrcRange>
+std::vector<SegmentCrc> segment_crcs(std::uint64_t size,
+                                     const std::vector<MemberEvent>& members,
+                                     CrcRange&& crc_range) {
+  std::vector<SegmentCrc> segs;
+  segs.reserve(members.size() + 1);
+  std::uint64_t prev = 0;
+  for (const MemberEvent& ev : members) {
+    segs.push_back({crc_range(prev, ev.out_offset), ev.out_offset - prev});
+    prev = ev.out_offset;
+  }
+  segs.push_back({crc_range(prev, size), size - prev});
+  return segs;
+}
+
+std::vector<SegmentCrc> byte_segment_crcs(ByteSpan out,
+                                          const std::vector<MemberEvent>& members) {
+  return segment_crcs(out.size(), members, [&](std::uint64_t a, std::uint64_t b) {
+    return crc32(out.subspan(static_cast<std::size_t>(a),
+                             static_cast<std::size_t>(b - a)));
+  });
+}
+
+/// Patches a marker cell against its true start window piece by piece
+/// into `piece`, checksumming each piece as it goes.
+std::vector<SegmentCrc> patch_segment_crcs(std::span<const std::uint16_t> tokens,
+                                           ByteSpan window,
+                                           const std::vector<MemberEvent>& members,
+                                           Bytes& piece) {
+  piece.resize(kPatchPiece);
+  return segment_crcs(tokens.size(), members, [&](std::uint64_t a, std::uint64_t b) {
+    std::uint32_t crc = 0;
+    for (std::uint64_t p = a; p < b; p += kPatchPiece) {
+      const std::size_t len =
+          static_cast<std::size_t>(std::min<std::uint64_t>(kPatchPiece, b - p));
+      const MutableByteSpan out(piece.data(), len);
+      patch_markers(tokens.subspan(static_cast<std::size_t>(p), len), window, out);
+      crc = crc32(out, crc);
+    }
+    return crc;
+  });
+}
+
+/// Chains every cell's segment CRCs, in stream order, into whole-member
+/// CRC32/ISIZE checks against the trailers.
+void verify_member_trailers(const std::vector<ChunkTask>& cells) {
+  std::uint32_t crc = 0;
+  std::uint64_t len = 0;
+  for (const ChunkTask& t : cells) {
+    for (std::size_t k = 0; k < t.segments.size(); ++k) {
+      crc = crc32_combine(crc, t.segments[k].crc, t.segments[k].len);
+      len += t.segments[k].len;
+      if (k == t.members.size()) break;  // the member continues in the next cell
+      check_corrupt(crc == t.members[k].crc32, "gzip: member CRC32 mismatch");
+      check_corrupt(static_cast<std::uint32_t>(len) == t.members[k].isize,
+                    "gzip: member ISIZE mismatch");
+      crc = 0;
+      len = 0;
+    }
+  }
+}
 
 /// Decodes resolved bytes from absolute `start_bit` until the first
 /// block boundary at/after byte `stop_byte`, growing the staged slice
 /// on kNeedMoreData. Used for the stream-start chunk (window known to
-/// be empty) and for stitch fallbacks (window known from the
+/// be empty) and for in-order decodes (window known from the
 /// predecessor). Corruption here is genuine — the window is true.
 struct ByteRun {
   std::uint64_t end_bit = 0;
@@ -71,21 +173,20 @@ struct ByteRun {
 
 ByteRun decode_byte_run(serve::ByteSource& source, std::uint64_t source_size,
                         std::uint64_t start_bit, std::uint64_t stop_byte,
-                        ByteSpan start_window, InflateScratch& scratch) {
+                        ByteSpan start_window, WorkerScratch& ws) {
   const std::uint64_t base = start_bit >> 3;
   std::uint64_t slice_len =
       std::min(stop_byte - base + kSliceMargin, source_size - base);
   while (true) {
-    Bytes slice(static_cast<std::size_t>(slice_len));
-    source.read_at(base, MutableByteSpan(slice.data(), slice.size()));
+    const ByteSpan slice = stage_slice(source, base, slice_len, ws.slice);
     // Bounding by the staged slice (not the whole remaining stream)
     // caps the garbage a short slice's zero padding can decode into
     // before the grow-and-retry kicks in.
     GrowingByteSink sink(start_window, max_inflated_bytes(slice_len));
     ChunkResult res;
-    const ChunkStatus status = inflate_chunk(
-        ByteSpan(slice.data(), slice.size()), start_bit - 8 * base,
-        (stop_byte - base) * 8, source_size - base, sink, scratch, res);
+    const ChunkStatus status =
+        inflate_chunk(slice, start_bit - 8 * base, (stop_byte - base) * 8,
+                      source_size - base, sink, ws.inflate, res);
     if (status == ChunkStatus::kNeedMoreData) {
       slice_len = std::min(slice_len * 2, source_size - base);
       continue;  // terminates: a full slice can never report kNeedMoreData
@@ -100,31 +201,35 @@ ByteRun decode_byte_run(serve::ByteSource& source, std::uint64_t source_size,
 }
 
 /// Speculative path: find a boundary in [grid_byte, next_grid_byte),
-/// marker-decode from it. Boundary misses and false candidates leave
-/// ok == false / advance the scan; only I/O errors escape.
+/// marker-decode from it into `tokens`. Boundary misses and false
+/// candidates leave ok == false / advance the scan; only I/O errors
+/// escape.
 void run_marker_task(serve::ByteSource& source, std::uint64_t source_size,
-                     ChunkTask& t) {
+                     ChunkTask& t, std::vector<std::uint16_t>& tokens,
+                     WorkerScratch& ws) {
+  const IngestObs& o = ingest_obs();
   const std::uint64_t base = t.grid_byte;
   const std::uint64_t stop_rel_bit = (t.next_grid_byte - base) * 8;
   std::uint64_t slice_len =
       std::min(t.next_grid_byte - base + kSliceMargin, source_size - base);
-  InflateScratch scratch;
   std::uint64_t scan_from = 0;
   while (true) {
-    Bytes slice(static_cast<std::size_t>(slice_len));
-    source.read_at(base, MutableByteSpan(slice.data(), slice.size()));
-    const ByteSpan span(slice.data(), slice.size());
+    const ByteSpan span = stage_slice(source, base, slice_len, ws.slice);
     bool grow = false;
     while (!grow) {
-      const std::uint64_t cand =
-          find_block_boundary(span, scan_from, stop_rel_bit, scratch, &t.stats);
-      if (cand == kNoBoundary) return;  // stitch will fall back
-      MarkerSink sink(t.tokens, max_inflated_bytes(slice_len));
+      std::uint64_t cand;
+      {
+        obs::StageScope stage("scan", "ingest", o.scan_us);
+        cand = find_block_boundary(span, scan_from, stop_rel_bit, ws.inflate, &t.stats);
+      }
+      if (cand == kNoBoundary) return;  // the stitch decodes it in order
+      MarkerSink sink(tokens, max_inflated_bytes(slice_len));
       ChunkResult res;
       ChunkStatus status;
       try {
+        obs::StageScope stage("marker_decode", "ingest", o.marker_decode_us);
         status = inflate_chunk(span, cand, stop_rel_bit, source_size - base,
-                               sink, scratch, res);
+                               sink, ws.inflate, res);
       } catch (const CorruptionError&) {
         scan_from = cand + 1;  // false positive: keep scanning
         continue;
@@ -149,28 +254,21 @@ void run_marker_task(serve::ByteSource& source, std::uint64_t source_size,
   }
 }
 
+/// The stream-start cell: its window is known to be empty, so it
+/// decodes (and checksums) bytes directly.
 void run_byte_task(serve::ByteSource& source, std::uint64_t source_size,
-                   ChunkTask& t) {
-  InflateScratch scratch;
+                   ChunkTask& t, WorkerScratch& ws) {
+  obs::StageScope stage("marker_decode", "ingest", ingest_obs().marker_decode_us);
   ByteRun run = decode_byte_run(source, source_size, t.start_bit,
-                                t.next_grid_byte, ByteSpan(), scratch);
+                                t.next_grid_byte, ByteSpan(), ws);
   t.ok = true;
   t.found_bit = t.start_bit;
   t.end_bit = run.end_bit;
   t.status = run.status;
   t.bytes = std::move(run.out);
   t.members = std::move(run.members);
+  t.segments = byte_segment_crcs(t.bytes, t.members);
 }
-
-/// Sequential stitch state threaded through the cells in order.
-struct StitchState {
-  Bytes window;  // rolling last-32-KiB of output, zero-prefilled
-  std::uint64_t uncomp_pos = 0;
-  std::uint64_t cur_bit = 0;
-  std::uint32_t member_crc = 0;
-  std::uint64_t member_len = 0;
-  bool eos = false;
-};
 
 void roll_window(Bytes& window, ByteSpan out) {
   if (out.size() >= kWindowSize) {
@@ -182,12 +280,307 @@ void roll_window(Bytes& window, ByteSpan out) {
   std::copy(out.begin(), out.end(), window.end() - static_cast<std::ptrdiff_t>(out.size()));
 }
 
+/// The serial part of the build: threads the true 32 KiB window and the
+/// stream position through the cells in order and records the index
+/// entries. Appending a cell costs O(window), whatever its size.
+class Stitcher {
+ public:
+  explicit Stitcher(std::uint64_t data_begin)
+      : window_(kWindowSize, 0), next_(kWindowSize), cur_bit_(8 * data_begin) {}
+
+  std::uint64_t cur_bit() const { return cur_bit_; }
+  bool eos() const { return eos_; }
+  bool at_stream_start() const { return uncomp_pos_ == 0; }
+  /// The true window before the next cell (zero-filled at stream start).
+  ByteSpan window() const { return ByteSpan(window_.data(), window_.size()); }
+  /// The predecessor's run already decoded past this cell's end.
+  bool eaten(const ChunkTask& t) const { return cur_bit_ >= 8 * t.next_grid_byte; }
+  /// A speculative decode started exactly where the stream arrived.
+  bool hit(const ChunkTask& t) const {
+    return t.ok && (t.byte_mode || (t.found_bit == cur_bit_ && !at_stream_start()));
+  }
+
+  /// Appends a cell whose output is known as bytes.
+  void append_bytes(const ChunkTask& t, ByteSpan out) {
+    if (!out.empty()) {
+      obs::StageScope stage("stitch", "ingest", ingest_obs().stitch_us);
+      add_chunk(t.end_bit, out.size());
+      roll_window(window_, out);
+    }
+    advance(t, out.size());
+  }
+
+  /// Appends a marker cell. Only its last 32 KiB is patched here — that
+  /// is the successor's window; the rest is patched on the pool.
+  void append_tokens(const ChunkTask& t, std::span<const std::uint16_t> tokens) {
+    if (!tokens.empty()) {
+      obs::StageScope stage("stitch", "ingest", ingest_obs().stitch_us);
+      add_chunk(t.end_bit, tokens.size());
+      const std::size_t take = std::min(tokens.size(), kWindowSize);
+      const std::size_t keep = kWindowSize - take;
+      std::copy(window_.end() - static_cast<std::ptrdiff_t>(keep), window_.end(),
+                next_.begin());
+      patch_markers(tokens.last(take), window(),
+                    MutableByteSpan(next_.data() + keep, take));
+      std::swap(window_, next_);
+    }
+    advance(t, tokens.size());
+  }
+
+  std::vector<GzipChunk> chunks;
+  Bytes windows;  // concatenated start windows
+  std::uint64_t num_members = 0;
+  std::uint64_t uncomp_pos() const { return uncomp_pos_; }
+
+ private:
+  void add_chunk(std::uint64_t end_bit, std::uint64_t size) {
+    GzipChunk c;
+    c.start_bit = cur_bit_;
+    c.end_bit = end_bit;
+    c.uncomp_offset = uncomp_pos_;
+    c.uncomp_size = size;
+    c.window_offset = windows.size();
+    if (!at_stream_start()) {
+      c.window_bytes = static_cast<std::uint32_t>(kWindowSize);
+      windows.insert(windows.end(), window_.begin(), window_.end());
+    }
+    chunks.push_back(c);
+    ingest_obs().chunks_indexed.inc();
+    ingest_obs().bytes_indexed.add(size);
+  }
+
+  void advance(const ChunkTask& t, std::uint64_t size) {
+    uncomp_pos_ += size;
+    cur_bit_ = t.end_bit;
+    eos_ = t.status == ChunkStatus::kEndOfStream;
+    num_members += t.members.size();
+  }
+
+  Bytes window_;  // rolling last 32 KiB of output
+  Bytes next_;    // spare buffer the marker path builds the next window in
+  std::uint64_t cur_bit_;
+  std::uint64_t uncomp_pos_ = 0;
+  bool eos_ = false;
+};
+
+/// Decodes cell `t` from the stitch position with the true window in
+/// hand, overwriting whatever speculation left in `t`.
+Bytes decode_in_order(serve::ByteSource& source, std::uint64_t source_size,
+                      const Stitcher& st, ChunkTask& t, WorkerScratch& ws) {
+  obs::StageScope stage("fallback", "ingest", ingest_obs().fallback_us);
+  const ByteSpan win = st.at_stream_start() ? ByteSpan() : st.window();
+  ByteRun run = decode_byte_run(source, source_size, st.cur_bit(),
+                                t.next_grid_byte, win, ws);
+  t.end_bit = run.end_bit;
+  t.status = run.status;
+  t.members = std::move(run.members);
+  t.segments = byte_segment_crcs(run.out, t.members);
+  return std::move(run.out);
+}
+
+/// The speculative build as a bounded pipeline on the pool. Every
+/// participant runs participate(), which picks the most urgent work
+/// available:
+///   1. stitch the next cell in order, once it is decoded (serial: one
+///      participant at a time, O(window) per cell);
+///   2. patch a stitched marker cell against its start window and
+///      checksum it;
+///   3. decode the next cell (boundary scan + marker decode), if one of
+///      the slots is free.
+/// A slot holds one cell's token stream and start window from its
+/// decode until its patch, so the slot count bounds the token streams
+/// alive at once; its buffers are reused by later cells. There are no
+/// barriers: a participant only waits when every remaining job is held
+/// by another participant.
+class SpeculativeBuild {
+ public:
+  SpeculativeBuild(serve::ByteSource& source, std::uint64_t source_size,
+                   std::vector<ChunkTask>& cells, Stitcher& stitch, std::size_t slots)
+      : source_(source),
+        source_size_(source_size),
+        cells_(cells),
+        stitch_(stitch),
+        slots_(slots),
+        decoded_(cells.size(), 0),
+        slot_of_(cells.size(), 0) {
+    for (std::size_t s = slots; s > 0; --s) free_slots_.push_back(s - 1);
+  }
+
+  /// One participant's loop. Returns when no work is left, or after
+  /// another participant failed; rethrows this participant's failure.
+  void participate(WorkerScratch& ws) EXCLUDES(mu_) {
+    while (true) {
+      const Job job = claim();
+      if (job.kind == Kind::kDone) return;
+      bool patch = false;
+      try {
+        patch = run(job, ws);
+      } catch (...) {
+        {
+          util::MutexLock lock(mu_);
+          failed_ = true;
+        }
+        cv_.notify_all();
+        throw;
+      }
+      complete(job, patch);
+    }
+  }
+
+ private:
+  enum class Kind { kWait, kStitch, kPatch, kDecode, kDone };
+  struct Job {
+    Kind kind = Kind::kWait;
+    std::size_t cell = 0;
+    std::size_t slot = 0;
+  };
+  struct Slot {
+    std::vector<std::uint16_t> tokens;
+    Bytes window = Bytes(kWindowSize);  // the cell's true start window
+  };
+
+  Job claim() EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    while (true) {
+      const Job job = next_job();
+      if (job.kind != Kind::kWait) return job;
+      cv_.wait(mu_);
+    }
+  }
+
+  Job next_job() REQUIRES(mu_) {
+    const std::size_t n = cells_.size();
+    if (failed_) return {Kind::kDone};
+    if (!stitching_ && next_stitch_ < n && decoded_[next_stitch_] != 0) {
+      stitching_ = true;
+      return {Kind::kStitch, next_stitch_, slot_of_[next_stitch_]};
+    }
+    if (!patch_queue_.empty()) {
+      const std::size_t cell = patch_queue_.front();
+      patch_queue_.pop_front();
+      return {Kind::kPatch, cell, slot_of_[cell]};
+    }
+    if (next_stitch_ == n) return {Kind::kDone};
+    if (next_decode_ < n && !free_slots_.empty()) {
+      const std::size_t slot = free_slots_.back();
+      free_slots_.pop_back();
+      slot_of_[next_decode_] = slot;
+      return {Kind::kDecode, next_decode_++, slot};
+    }
+    return {Kind::kWait};
+  }
+
+  /// Runs a claimed job outside the lock. For a stitch, returns whether
+  /// the cell still needs its patch+CRC job.
+  bool run(const Job& job, WorkerScratch& ws) {
+    ChunkTask& t = cells_[job.cell];
+    Slot& slot = slots_[job.slot];
+    switch (job.kind) {
+      case Kind::kDecode:
+        if (t.byte_mode) {
+          run_byte_task(source_, source_size_, t, ws);
+        } else {
+          run_marker_task(source_, source_size_, t, slot.tokens, ws);
+        }
+        ingest_obs().boundary_candidates.add(t.stats.candidates);
+        ingest_obs().boundary_bits_scanned.add(t.stats.bits_scanned);
+        return false;
+      case Kind::kStitch:
+        return stitch(t, slot, ws);
+      case Kind::kPatch: {
+        obs::StageScope stage("patch_crc", "ingest", ingest_obs().patch_crc_us);
+        t.segments = patch_segment_crcs(slot.tokens, slot.window, t.members, ws.piece);
+        return false;
+      }
+      case Kind::kWait:
+      case Kind::kDone:
+        break;
+    }
+    return false;
+  }
+
+  bool stitch(ChunkTask& t, Slot& slot, WorkerScratch& ws) {
+    if (stitch_.eaten(t)) {
+      t.members.clear();  // speculation past the real run: not stream data
+      return false;
+    }
+    if (!stitch_.hit(t)) {
+      // Speculation missed (no boundary, or a boundary the stream did
+      // not actually stop at): decode this cell in order.
+      ingest_obs().chunk_fallbacks.inc();
+      const Bytes out = decode_in_order(source_, source_size_, stitch_, t, ws);
+      stitch_.append_bytes(t, out);
+      return false;
+    }
+    if (t.byte_mode) {
+      stitch_.append_bytes(t, t.bytes);
+      t.bytes = Bytes();
+      return false;
+    }
+    if (slot.tokens.empty()) {
+      t.segments = byte_segment_crcs(ByteSpan(), t.members);
+      stitch_.append_tokens(t, slot.tokens);
+      return false;
+    }
+    const ByteSpan window = stitch_.window();
+    std::copy(window.begin(), window.end(), slot.window.begin());
+    stitch_.append_tokens(t, slot.tokens);
+    return true;
+  }
+
+  void complete(const Job& job, bool patch) EXCLUDES(mu_) {
+    {
+      util::MutexLock lock(mu_);
+      switch (job.kind) {
+        case Kind::kDecode:
+          decoded_[job.cell] = 1;
+          break;
+        case Kind::kStitch:
+          stitching_ = false;
+          // Past the end of the stream every remaining cell is eaten.
+          next_stitch_ = stitch_.eos() ? cells_.size() : job.cell + 1;
+          if (patch) {
+            patch_queue_.push_back(job.cell);
+          } else {
+            free_slots_.push_back(job.slot);
+          }
+          break;
+        case Kind::kPatch:
+          free_slots_.push_back(job.slot);
+          break;
+        case Kind::kWait:
+        case Kind::kDone:
+          break;
+      }
+    }
+    cv_.notify_all();
+  }
+
+  serve::ByteSource& source_;
+  const std::uint64_t source_size_;
+  // Cells, slots and the stitcher are handed between participants by
+  // claim() and complete(), never used by two at once.
+  std::vector<ChunkTask>& cells_;
+  Stitcher& stitch_;
+  std::vector<Slot> slots_;
+
+  util::Mutex mu_;
+  util::CondVar cv_;
+  std::vector<char> decoded_ GUARDED_BY(mu_);
+  std::vector<std::size_t> slot_of_ GUARDED_BY(mu_);
+  std::vector<std::size_t> free_slots_ GUARDED_BY(mu_);
+  std::deque<std::size_t> patch_queue_ GUARDED_BY(mu_);
+  std::size_t next_decode_ GUARDED_BY(mu_) = 0;
+  std::size_t next_stitch_ GUARDED_BY(mu_) = 0;
+  bool stitching_ GUARDED_BY(mu_) = false;
+  bool failed_ GUARDED_BY(mu_) = false;
+};
+
 }  // namespace
 
 GzipIndex GzipIndex::build(serve::ByteSource& source,
                            const GzipIndexOptions& options) {
-  const IngestCounters& ctr = counters();
-  ctr.index_builds.inc();
+  ingest_obs().index_builds.inc();
 
   GzipIndex idx;
   idx.source_size_ = source.size();
@@ -204,140 +597,45 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
       static_cast<std::size_t>(div_ceil(S - data_begin, chunk_comp));
   const std::size_t par =
       options.pool != nullptr ? options.pool->parallelism() : 1;
-  const bool speculate = par > 1 && n > 1;
 
-  StitchState st;
-  st.window.assign(kWindowSize, 0);
-  st.cur_bit = 8 * data_begin;
-
-  InflateScratch stitch_scratch;
-  const auto stitch_cell = [&](ChunkTask& t, bool counted_fallback) {
-    if (st.cur_bit >= 8 * t.next_grid_byte) return;  // eaten by predecessor
-    const std::uint64_t start_bit = st.cur_bit;
-    Bytes out;
-    std::uint64_t end_bit;
-    ChunkStatus status;
-    std::vector<MemberEvent> events;
-    if (t.ok && (t.byte_mode || t.found_bit == st.cur_bit)) {
-      if (t.byte_mode) {
-        out = std::move(t.bytes);
-      } else {
-        out.resize(t.tokens.size());
-        patch_markers(t.tokens, ByteSpan(st.window.data(), st.window.size()),
-                      MutableByteSpan(out.data(), out.size()));
-      }
-      end_bit = t.end_bit;
-      status = t.status;
-      events = std::move(t.members);
-    } else {
-      // Speculation missed (no boundary, or a boundary the stream did
-      // not actually stop at): decode this cell sequentially with the
-      // true window in hand.
-      if (counted_fallback) ctr.chunk_fallbacks.inc();
-      const ByteSpan win =
-          st.uncomp_pos == 0
-              ? ByteSpan()
-              : ByteSpan(st.window.data(), st.window.size());
-      ByteRun run = decode_byte_run(source, S, st.cur_bit, t.next_grid_byte,
-                                    win, stitch_scratch);
-      out = std::move(run.out);
-      end_bit = run.end_bit;
-      status = run.status;
-      events = std::move(run.members);
-    }
-
-    if (options.verify_members) {
-      std::size_t prev = 0;
-      for (const MemberEvent& ev : events) {
-        const std::size_t at = static_cast<std::size_t>(ev.out_offset);
-        st.member_crc = crc32(ByteSpan(out.data() + prev, at - prev), st.member_crc);
-        st.member_len += at - prev;
-        check_corrupt(st.member_crc == ev.crc32, "gzip: member CRC32 mismatch");
-        check_corrupt(static_cast<std::uint32_t>(st.member_len) == ev.isize,
-                      "gzip: member ISIZE mismatch");
-        st.member_crc = 0;
-        st.member_len = 0;
-        prev = at;
-      }
-      st.member_crc =
-          crc32(ByteSpan(out.data() + prev, out.size() - prev), st.member_crc);
-      st.member_len += out.size() - prev;
-    }
-    idx.num_members_ += events.size();
-
-    if (!out.empty()) {
-      GzipChunk c;
-      c.start_bit = start_bit;
-      c.end_bit = end_bit;
-      c.uncomp_offset = st.uncomp_pos;
-      c.uncomp_size = out.size();
-      if (st.uncomp_pos == 0) {
-        c.window_bytes = 0;
-        c.window_offset = idx.windows_.size();
-      } else {
-        c.window_offset = idx.windows_.size();
-        c.window_bytes = static_cast<std::uint32_t>(kWindowSize);
-        idx.windows_.insert(idx.windows_.end(), st.window.begin(), st.window.end());
-      }
-      idx.chunks_.push_back(c);
-      ctr.chunks_indexed.inc();
-      ctr.bytes_indexed.add(out.size());
-    }
-
-    roll_window(st.window, ByteSpan(out.data(), out.size()));
-    st.uncomp_pos += out.size();
-    st.cur_bit = end_bit;
-    st.eos = status == ChunkStatus::kEndOfStream;
-  };
-
-  const auto make_task = [&](std::size_t i) {
-    ChunkTask t;
+  std::vector<ChunkTask> cells(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ChunkTask& t = cells[i];
     t.grid_byte = data_begin + i * chunk_comp;
     t.next_grid_byte = std::min(S, t.grid_byte + chunk_comp);
     if (i == 0) {
       t.byte_mode = true;
       t.start_bit = 8 * data_begin;
     }
-    return t;
-  };
+  }
 
-  if (!speculate) {
-    // Pure sequential: every cell goes through the stitch fallback with
-    // the window always known — no markers, no scan, and chunk-level
-    // fallbacks are the norm rather than a miss, so not counted.
-    for (std::size_t i = 0; i < n && !st.eos; ++i) {
-      ChunkTask t = make_task(i);
-      stitch_cell(t, /*counted_fallback=*/false);
-    }
+  Stitcher st(data_begin);
+  if (par > 1 && n > 1) {
+    // Twice the parallelism in slots keeps every participant busy while
+    // bounding the token streams held in memory at once.
+    SpeculativeBuild pipeline(source, S, cells, st, std::min(n, 2 * par));
+    std::vector<WorkerScratch> scratch(par);
+    options.pool->parallel_for_worker(par, [&](std::size_t worker, std::size_t) {
+      pipeline.participate(scratch[worker]);
+    });
   } else {
-    // Waves of speculative tasks, stitched in order between waves. The
-    // wave width of 2x parallelism keeps workers busy while bounding
-    // the token streams held in memory at once.
-    const std::size_t wave = 2 * par;
-    for (std::size_t w0 = 0; w0 < n && !st.eos; w0 += wave) {
-      const std::size_t w1 = std::min(n, w0 + wave);
-      std::vector<ChunkTask> tasks;
-      tasks.reserve(w1 - w0);
-      for (std::size_t i = w0; i < w1; ++i) tasks.push_back(make_task(i));
-      options.pool->parallel_for(tasks.size(), [&](std::size_t k) {
-        ChunkTask& t = tasks[k];
-        if (t.byte_mode) {
-          run_byte_task(source, S, t);
-        } else {
-          run_marker_task(source, S, t);
-        }
-      });
-      for (ChunkTask& t : tasks) {
-        ctr.boundary_candidates.add(t.stats.candidates);
-        ctr.boundary_bits_scanned.add(t.stats.bits_scanned);
-        if (st.eos) break;
-        stitch_cell(t, /*counted_fallback=*/true);
-      }
+    // Pure sequential: every cell is decoded in order with the window
+    // always known — no markers, no scan, and no speculation to miss.
+    WorkerScratch ws;
+    for (ChunkTask& t : cells) {
+      if (st.eos()) break;
+      if (st.eaten(t)) continue;
+      const Bytes out = decode_in_order(source, S, st, t, ws);
+      st.append_bytes(t, out);
     }
   }
 
-  check_corrupt(st.eos, "gzip: stream ended without a final member trailer");
-  idx.total_uncompressed_ = st.uncomp_pos;
+  check_corrupt(st.eos(), "gzip: stream ended without a final member trailer");
+  verify_member_trailers(cells);
+  idx.chunks_ = std::move(st.chunks);
+  idx.windows_ = std::move(st.windows);
+  idx.num_members_ = st.num_members;
+  idx.total_uncompressed_ = st.uncomp_pos();
   return idx;
 }
 
@@ -416,7 +714,7 @@ GzipIndex GzipIndex::deserialize(ByteSpan sidecar) {
   check_format(expect_offset == idx.total_uncompressed_,
                "gzip: seek-index total size mismatch");
   check_format(reader.at_end(), "gzip: trailing bytes in seek index");
-  counters().sidecar_loads.inc();
+  ingest_obs().sidecar_loads.inc();
   return idx;
 }
 

@@ -6,10 +6,13 @@
 // on a byte grid, speculatively find a DEFLATE block boundary near
 // each grid point (inflate.hpp's strong header filter), decode every
 // chunk in parallel into (literal, marker) token streams, then stitch
-// sequentially — each chunk's true 32 KiB window patches its
-// successor's markers. Chunks whose speculation missed (boundary not
-// found, or found a different bit than the stitch arrived at) fall
-// back to a sequential byte decode of just that chunk.
+// them in order. The stitch is O(window) per chunk: it patches only the
+// last 32 KiB of a chunk's tokens, which is its successor's true
+// window. Patching the rest of the chunk against its own start window,
+// fused with the CRC32 of the patched bytes, runs on the pool. Chunks
+// whose speculation missed (boundary not found, or found a different
+// bit than the stitch arrived at) fall back to a sequential byte
+// decode of just that chunk.
 //
 // The result is the same shape as serve::SeekIndex: per-chunk extents
 // keyed by cumulative uncompressed offset, plus each chunk's start
@@ -17,10 +20,11 @@
 // (GzipBackend). It checkpoints into a "GZIX" sidecar, so reopening a
 // .gz costs a header parse instead of a boundary scan.
 //
-// Member CRC32/ISIZE trailers are verified during the build (chained
-// across chunk boundaries with crc32's seed threading), which is what
-// lets GzipBackend::decode_block skip whole-member verification it has
-// no context for.
+// Member CRC32/ISIZE trailers are always verified during the build:
+// each chunk is checksummed per member segment where it is patched,
+// and crc32_combine chains the segments across chunk boundaries. That
+// is what lets GzipBackend::decode_block skip whole-member
+// verification it has no context for.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +58,6 @@ struct GzipIndexOptions {
   /// Compressed bytes per chunk (grid pitch). Larger chunks amortize
   /// the boundary scan; smaller chunks parallelize and seek better.
   std::uint64_t chunk_size = 512 * 1024;
-  /// Verify each member's CRC32 + ISIZE trailer during the build.
-  bool verify_members = true;
   /// Pool for the speculative chunk decodes; nullptr (or a pool with
   /// parallelism() == 1) selects the pure sequential build, which never
   /// speculates and therefore never pays a marker pass.

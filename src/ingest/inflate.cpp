@@ -1,6 +1,7 @@
 #include "ingest/inflate.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "core/decode_tables.hpp"
 #include "huffman/decoder.hpp"
@@ -374,21 +375,18 @@ void MarkerSink::copy(std::uint32_t length, std::uint32_t distance) {
   }
 }
 
-std::uint64_t patch_markers(const std::vector<std::uint16_t>& tokens,
-                            ByteSpan window, MutableByteSpan out) {
+void patch_markers(std::span<const std::uint16_t> tokens, ByteSpan window,
+                   MutableByteSpan out) {
   check(window.size() == kWindowSize, "gzip: patch window must be 32 KiB");
   check(out.size() == tokens.size(), "gzip: marker patch size mismatch");
-  std::uint64_t patched = 0;
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const std::uint16_t t = tokens[i];
-    if (t < kMarkerBase) {
-      out[i] = static_cast<std::uint8_t>(t);
-    } else {
-      out[i] = window[t - kMarkerBase];
-      ++patched;
-    }
-  }
-  return patched;
+  // Copies replicate markers, so they stay dense far into a chunk and a
+  // literal-or-marker branch mispredicts constantly. One table indexed
+  // by the token — literals map to themselves, markers to their window
+  // byte — patches without branching.
+  std::array<std::uint8_t, kMarkerBase + kWindowSize> lut;
+  for (std::size_t b = 0; b < kMarkerBase; ++b) lut[b] = static_cast<std::uint8_t>(b);
+  std::copy(window.begin(), window.end(), lut.begin() + kMarkerBase);
+  for (std::size_t i = 0; i < tokens.size(); ++i) out[i] = lut[tokens[i]];
 }
 
 // --------------------------------------------------------- chunk driver

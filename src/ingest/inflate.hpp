@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitstream/bit_reader.hpp"
@@ -233,11 +234,11 @@ class MarkerSink {
   std::uint64_t max_output_ = 0;
 };
 
-/// Resolves a marker-token stream against the true start window
-/// (exactly kWindowSize bytes, oldest first). out.size() must equal
-/// tokens.size(). Returns the number of markers patched.
-std::uint64_t patch_markers(const std::vector<std::uint16_t>& tokens,
-                            ByteSpan window, MutableByteSpan out);
+/// Resolves (a piece of) a marker-token stream against the true start
+/// window (exactly kWindowSize bytes, oldest first). out.size() must
+/// equal tokens.size().
+void patch_markers(std::span<const std::uint16_t> tokens, ByteSpan window,
+                   MutableByteSpan out);
 
 // --------------------------------------------------------- chunk driver
 

@@ -16,8 +16,11 @@
 //     transient-only plans byte-exactly;
 //   - the "GZIX" sidecar: reopen loads it instead of re-scanning
 //     (counter-asserted) and a wrong-flavor sidecar is rejected;
-//   - parallel == sequential: the speculative wave build and the pure
-//     sequential build produce identical bytes;
+//   - parallel == sequential: the speculative pipeline build and the
+//     pure sequential build produce identical bytes and sidecars, and
+//     the parallel build checks member trailers chained across cells;
+//   - stage reconciliation: a traced parallel build records one stitch
+//     per indexed chunk and one patch+CRC per speculative chunk;
 //   - the pipe fallback: gzip on a non-seekable stream decodes through
 //     decompress_stream's sequential path.
 #include <gtest/gtest.h>
@@ -150,6 +153,18 @@ Bytes read_file(const std::string& path) {
 
 bool have_gzip_binary() {
   return std::system("gzip --version >/dev/null 2>&1") == 0;
+}
+
+/// One member compressed by the system `gzip -6`.
+Bytes system_gzip(const Bytes& input, const char* tag) {
+  const std::string raw = temp_path(tag);
+  write_file(raw, ByteSpan(input.data(), input.size()));
+  const std::string gz = raw + ".gz";
+  EXPECT_EQ(std::system(("gzip -6 -n -c " + raw + " > " + gz).c_str()), 0);
+  Bytes out = read_file(gz);
+  std::remove(raw.c_str());
+  std::remove(gz.c_str());
+  return out;
 }
 
 /// A streambuf that cannot seek (pubseekoff keeps the std::streambuf
@@ -385,7 +400,7 @@ TEST(IngestGzip, ParallelBuildMatchesSequential) {
 
   ASSERT_EQ(si.total_uncompressed(), input.size());
   ASSERT_EQ(pi.total_uncompressed(), input.size());
-  // The wave build must land on the same chunk geometry the sequential
+  // The pipeline build must land on the same chunk geometry the sequential
   // build finds — speculation changes the schedule, not the result.
   ASSERT_EQ(pi.num_chunks(), si.num_chunks());
   for (std::size_t i = 0; i < si.num_chunks(); ++i) {
@@ -398,6 +413,120 @@ TEST(IngestGzip, ParallelBuildMatchesSequential) {
   EXPECT_EQ(out, input);
   std::remove(raw.c_str());
   std::remove(gz.c_str());
+}
+
+TEST(IngestGzip, ParallelBuildChecksMemberTrailersAcrossCells) {
+  // Three real members whose boundaries fall inside grid cells, so the
+  // middle member's CRC32 is chained from segments that different
+  // tasks checksummed. Only stored single-cell members reached the
+  // trailer check in LyingTrailerIsCorruption.
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  constexpr std::size_t kPitch = 64 * 1024;
+  const Bytes a = datagen::wikipedia(300000);
+  const Bytes b = datagen::wikipedia(500000);
+  const Bytes c = datagen::matrix(200000);
+  Bytes file;
+  std::vector<std::size_t> member_end;
+  for (const Bytes* m : {&a, &b, &c}) {
+    const Bytes gz = system_gzip(*m, "member");
+    file.insert(file.end(), gz.begin(), gz.end());
+    member_end.push_back(file.size());
+  }
+  for (std::size_t k = 0; k + 1 < member_end.size(); ++k) {
+    const std::size_t in_cell = member_end[k] % kPitch;
+    EXPECT_TRUE(in_cell > 4096 && in_cell < kPitch - 4096)
+        << "member " << k << " ends at " << member_end[k];
+  }
+  EXPECT_GT(member_end[1] - member_end[0], 2 * kPitch);  // spans cells
+  Bytes input = a;
+  input.insert(input.end(), b.begin(), b.end());
+  input.insert(input.end(), c.begin(), c.end());
+
+  EXPECT_EQ(decode_gzip(ByteSpan(file.data(), file.size()), 4, kPitch), input);
+  const std::size_t trailer = member_end[1] - ingest::kGzipTrailerBytes;
+  for (const std::size_t at : {trailer, trailer + 4}) {  // CRC32, then ISIZE
+    Bytes bad = file;
+    bad[at] ^= 0x01;
+    EXPECT_THROW(decode_gzip(ByteSpan(bad.data(), bad.size()), 4, kPitch),
+                 CorruptionError)
+        << "flipped trailer byte " << at - trailer;
+  }
+
+  // The schedule must not change the sidecar: 1 and 4 threads agree
+  // byte for byte.
+  ThreadPool pool(4);
+  ingest::GzipIndexOptions seq, par;
+  seq.chunk_size = par.chunk_size = kPitch;
+  par.pool = &pool;
+  auto ssrc = serve::memory_source(ByteSpan(file.data(), file.size()));
+  auto psrc = serve::memory_source(ByteSpan(file.data(), file.size()));
+  const ingest::GzipIndex si = ingest::GzipIndex::build(*ssrc, seq);
+  const auto patch_samples = [] {
+    const obs::MetricsSnapshot snap = metrics_snapshot();
+    const obs::MetricValue* m = snap.find("ingest.patch_crc_us");
+    return m != nullptr ? m->hist.count() : 0;
+  };
+  const std::uint64_t patched_before = patch_samples();
+  const ingest::GzipIndex pi = ingest::GzipIndex::build(*psrc, par);
+  // Most cells were speculated, so the trailers above were checked from
+  // segments the pooled patch tasks checksummed.
+  EXPECT_GE(patch_samples() - patched_before, pi.num_chunks() / 2);
+  EXPECT_EQ(si.num_members(), 3u);
+  EXPECT_GT(pi.num_chunks(), 4u);
+  EXPECT_EQ(pi.serialize(), si.serialize());
+}
+
+TEST(IngestGzip, ParallelBuildStagesReconcileWithChunks) {
+  // A traced parallel build: the serial stitch runs once per indexed
+  // chunk, and the pooled patch+CRC once per chunk that came out of a
+  // speculative marker decode — every chunk except the stream-start
+  // cell (decoded as bytes) and in-order fallbacks.
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  const Bytes input = datagen::wikipedia(2 << 20);
+  const Bytes file = system_gzip(input, "stages");
+
+  ThreadPool pool(4);
+  ingest::GzipIndexOptions gopt;
+  gopt.chunk_size = 64 * 1024;
+  gopt.pool = &pool;
+  auto src = serve::memory_source(ByteSpan(file.data(), file.size()));
+
+  const obs::MetricsSnapshot before = metrics_snapshot();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.start();
+  const ingest::GzipIndex index = ingest::GzipIndex::build(*src, gopt);
+  tracer.stop();
+  const obs::MetricsSnapshot after = metrics_snapshot();
+
+  const auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  const auto samples = [&](const char* name) {
+    const obs::MetricValue* a = after.find(name);
+    const obs::MetricValue* b = before.find(name);
+    EXPECT_NE(a, nullptr) << name;
+    if (a == nullptr) return std::uint64_t{0};
+    return a->hist.count() - (b != nullptr ? b->hist.count() : 0);
+  };
+  const std::uint64_t chunks = delta("ingest.chunks_indexed");
+  const std::uint64_t fallbacks = delta("ingest.chunk_fallbacks");
+  ASSERT_EQ(chunks, index.num_chunks());
+  ASSERT_GT(chunks, 8u);
+  EXPECT_EQ(samples("ingest.stitch_us"), chunks);
+  EXPECT_EQ(samples("ingest.patch_crc_us"), chunks - 1 - fallbacks);
+  EXPECT_EQ(samples("ingest.fallback_us"), fallbacks);
+  EXPECT_GE(samples("ingest.scan_us"), chunks - 1);
+  EXPECT_GE(samples("ingest.marker_decode_us"), chunks);
+
+  std::uint64_t stitch_spans = 0, patch_spans = 0;
+  for (const obs::TraceEvent& ev : tracer.collect()) {
+    const std::string_view name(ev.name);
+    if (name == "stitch") ++stitch_spans;
+    if (name == "patch_crc") ++patch_spans;
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(stitch_spans, chunks);
+  EXPECT_EQ(patch_spans, chunks - 1 - fallbacks);
 }
 
 // ------------------------------------------------------------ sidecar

@@ -42,6 +42,44 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Crc32, CombineMatchesConcatenationOverRandomSplits) {
+  Rng rng(7);
+  Bytes data(100000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t len = 1 + rng.next_below(data.size());
+    const std::size_t split = rng.next_below(len + 1);
+    const ByteSpan a(data.data(), split);
+    const ByteSpan b(data.data() + split, len - split);
+    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()),
+              crc32(ByteSpan(data.data(), len)))
+        << "len=" << len << " split=" << split;
+  }
+}
+
+TEST(Crc32, CombineWithEmptyParts) {
+  const std::string s = "123456789";
+  const std::uint32_t crc = crc32(as_bytes(s));
+  EXPECT_EQ(crc32_combine(0, crc, s.size()), crc);  // empty first part
+  EXPECT_EQ(crc32_combine(crc, 0, 0), crc);         // empty second part
+  EXPECT_EQ(crc32_combine(0, 0, 0), 0u);
+}
+
+TEST(Crc32, CombineIsAssociativeBeyond4GiB) {
+  // Lengths past 2^32 exercise the wrap of the x^(2^k) power table; a
+  // wrong period would break associativity.
+  Rng rng(11);
+  constexpr std::uint64_t k4G = std::uint64_t{1} << 32;
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint32_t a = rng.next_u32(), b = rng.next_u32(), c = rng.next_u32();
+    const std::uint64_t len_b = k4G * (1 + rng.next_below(7)) + rng.next_u32();
+    const std::uint64_t len_c = k4G * rng.next_below(5) + rng.next_u32();
+    EXPECT_EQ(crc32_combine(crc32_combine(a, b, len_b), c, len_c),
+              crc32_combine(a, crc32_combine(b, c, len_c), len_b + len_c))
+        << "len_b=" << len_b << " len_c=" << len_c;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlips) {
   Bytes data(64, 0xAB);
   const std::uint32_t base = crc32(data);
