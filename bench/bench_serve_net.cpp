@@ -11,7 +11,7 @@
 //     uncontended p99 — the deadline-shedding admission controller is
 //     what makes that hold, so this gate is exercising it directly.
 //   * degraded goodput (timing): with a 1% transient-fault plan on
-//     every session's source, goodput >= 0.9x the fault-free run —
+//     the server's source, goodput >= 0.9x the fault-free run —
 //     retries with jittered backoff absorb the faults without
 //     collapsing throughput.
 //   * correctness (hard, rides along): every 200/206 body is
@@ -165,6 +165,8 @@ int main(int argc, char** argv) {
     auto probe = clean_factory();
     return serve::SeekIndex::build(*probe);
   }();
+  const std::shared_ptr<serve::ContainerBackend> backend =
+      serve::make_gmpz_backend(index);
 
   JsonReport report("serve_net", "wikipedia", 1);
   constexpr std::size_t kRange = 256 * 1024;
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
   double p99_uncontended = 0;
   LoadResult uncontended;
   {
-    net::Server server(clean_factory, index, base);
+    net::Server server(clean_factory, backend, base);
     server.start();
     run_load(server.port(), input, 1, 8, kRange, uniform);  // warm-up
     uncontended = run_load(server.port(), input, 1, base_reqs, kRange, uniform);
@@ -198,11 +200,11 @@ int main(int argc, char** argv) {
 
   // --- zipf-distributed concurrent clients ------------------------------
   {
-    net::Server server(clean_factory, index, base);
+    net::Server server(clean_factory, backend, base);
     server.start();
     // Zipf over block ranks: hot blocks dominate, the way real range
     // traffic concentrates on popular objects — exercises the LRU cache
-    // across many sessions sharing one BufferPool.
+    // that the four connections share.
     ZipfSampler zipf(index.num_blocks(), 1.05);
     const auto zipf_off = [&](Rng& rng) {
       const std::size_t b = zipf.sample(rng);
@@ -231,7 +233,7 @@ int main(int argc, char** argv) {
   tight.request_deadline_ms =
       std::max(1, static_cast<int>(p99_uncontended * 1e3 * 1.5));
   {
-    net::Server server(clean_factory, index, tight);
+    net::Server server(clean_factory, backend, tight);
     server.start();
     overload = run_load(server.port(), input, 8, reqs / 2, kRange, uniform);
     const net::ServerStats st = server.stats();
@@ -258,7 +260,7 @@ int main(int argc, char** argv) {
             serve::FaultPlan::parse("rate=0.01,burst=1,seed=7")));
   };
   const auto goodput_run = [&](const net::SourceFactory& factory) {
-    net::Server server(factory, index, base);
+    net::Server server(factory, backend, base);
     server.start();
     const LoadResult r = run_load(server.port(), input, 4, reqs / 2, kRange,
                                   uniform);
@@ -290,7 +292,7 @@ int main(int argc, char** argv) {
     // ratio just as much as an unlucky overload draw. Keep the widest
     // baseline tail seen — small-sample p99 only ever underestimates.
     {
-      net::Server server(clean_factory, index, base);
+      net::Server server(clean_factory, backend, base);
       server.start();
       const LoadResult again =
           run_load(server.port(), input, 1, base_reqs, kRange, uniform);
@@ -298,7 +300,7 @@ int main(int argc, char** argv) {
       p99_uncontended =
           std::max(p99_uncontended, percentile(again.latencies, 0.99));
     }
-    net::Server server(clean_factory, index, tight);
+    net::Server server(clean_factory, backend, tight);
     server.start();
     overload = run_load(server.port(), input, 8, reqs / 2, kRange, uniform);
     server.stop();

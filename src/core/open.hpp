@@ -49,8 +49,8 @@ struct OpenOptions {
   ingest::GzipIndexOptions gzip;
 };
 
-/// Sniffs `source` and returns the matching backend (shared, so the
-/// net daemon can hand one backend to many sessions). Throws
+/// Sniffs `source` and returns the matching backend (shared, so one
+/// backend can serve several sessions). Throws
 /// FormatError for an unrecognized container.
 std::shared_ptr<serve::ContainerBackend> open_backend(
     serve::ByteSource& source, const OpenOptions& options = {});

@@ -61,54 +61,48 @@ constexpr int kPollTickMs = 50;
 constexpr char kContentTypeBin[] = "Content-Type: application/octet-stream";
 constexpr char kAcceptRanges[] = "Accept-Ranges: bytes";
 
+/// The server's one session: on its decode and buffer pools, with a
+/// cache sized for every worker, and retries bounded by the request
+/// deadline. A null backend is sniffed from the same source, through
+/// the front door gompresso::open() (a gzip index builds on the pool).
+std::unique_ptr<serve::DecodeSession> open_shared_session(
+    const SourceFactory& factory,
+    std::shared_ptr<serve::ContainerBackend> backend, const ServeOptions& options,
+    ThreadPool& pool, util::BufferPool& buffers) {
+  check(factory != nullptr, "net: serve needs a source factory");
+  std::unique_ptr<serve::ByteSource> source = factory();
+  check(source != nullptr, "net: source factory returned null");
+  OpenOptions oopt;
+  oopt.session = options.session;
+  oopt.session.pool = &pool;
+  oopt.session.buffer_pool = &buffers;
+  oopt.session.cache_blocks = options.session.cache_blocks * options.worker_threads;
+  if (oopt.session.retry.deadline_us == 0 && options.request_deadline_ms > 0) {
+    oopt.session.retry.deadline_us =
+        static_cast<std::uint64_t>(options.request_deadline_ms) * 1000;
+  }
+  if (backend == nullptr) return gompresso::open(std::move(source), oopt);
+  return std::make_unique<serve::DecodeSession>(std::move(source), std::move(backend),
+                                                oopt.session);
+}
+
 }  // namespace
 
 Server::Server(SourceFactory factory,
                std::shared_ptr<serve::ContainerBackend> backend,
                ServeOptions options)
-    : factory_(std::move(factory)),
-      backend_(std::move(backend)),
-      options_(options),
+    : options_(options),
       decode_pool_(options.decode_threads),
+      session_(open_shared_session(factory, std::move(backend), options,
+                                   decode_pool_, buffers_)),
       queue_(std::max<std::size_t>(options.pending_requests, 1)) {
   obs::ensure_initialized();
-  check(factory_ != nullptr, "net: serve needs a source factory");
-  check(backend_ != nullptr, "net: serve needs a container backend");
   check(options_.worker_threads > 0, "net: serve needs at least one worker");
   check(options_.max_connections > 0, "net: max_connections must be positive");
 }
 
-Server::Server(SourceFactory factory, serve::SeekIndex index,
-               ServeOptions options)
-    : Server(std::move(factory),
-             serve::make_gmpz_backend(std::move(index),
-                                      [&options] {
-                                        serve::BackendDecodeOptions o;
-                                        o.verify_checksums =
-                                            options.session.verify_checksums;
-                                        o.auto_strategy =
-                                            options.session.auto_strategy;
-                                        o.strategy = options.session.strategy;
-                                        return o;
-                                      }()),
-             options) {}
-
-std::shared_ptr<serve::ContainerBackend> Server::build_backend(
-    const SourceFactory& factory, const ServeOptions& options) {
-  check(factory != nullptr, "net: serve needs a source factory");
-  auto probe = factory();
-  check(probe != nullptr, "net: source factory returned null");
-  // Sniff-and-dispatch through the same front door as gompresso::open():
-  // a native container gets its SeekIndex, a gzip stream gets a parallel
-  // speculative GzipIndex built on the server's decode-thread budget.
-  OpenOptions oopt;
-  oopt.session = options.session;
-  oopt.session.num_threads = options.decode_threads;
-  return open_backend(*probe, oopt);
-}
-
 Server::Server(SourceFactory factory, ServeOptions options)
-    : Server(factory, build_backend(factory, options), options) {}
+    : Server(std::move(factory), nullptr, options) {}
 
 Server::~Server() { stop(); }
 
@@ -214,7 +208,7 @@ void Server::poller_loop() {
   const auto drop = [this](std::unique_ptr<Conn> conn) {
     live_conns_.fetch_sub(1, std::memory_order_relaxed);
     net_obs().live_connections.add(-1);
-    conn.reset();  // closes the fd, tears down the session
+    conn.reset();  // closes the fd
   };
 
   while (!stop_poller_.load(std::memory_order_relaxed)) {
@@ -272,7 +266,6 @@ void Server::poller_loop() {
         }
         auto conn = std::make_unique<Conn>();
         conn->fd = std::move(fd);
-        conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
         conn->last_activity = Clock::now();
         live_conns_.fetch_add(1, std::memory_order_relaxed);
         net_obs().live_connections.add(1);
@@ -530,7 +523,7 @@ bool Server::serve_request(Conn& conn, const std::string& head,
   }
 
   // -- the archive resource -----------------------------------------
-  const std::uint64_t total = backend_->total_uncompressed();
+  const std::uint64_t total = session_->size();
   int status = 200;
   std::uint64_t first = 0;
   std::uint64_t last = total == 0 ? 0 : total - 1;
@@ -569,31 +562,6 @@ bool Server::serve_request(Conn& conn, const std::string& head,
     ~Release() { s->release_bytes(n); }
   } release{this, length};
 
-  // Lazy per-connection session on the shared decode pool + buffer
-  // pool; the request deadline seeds the retry deadline so backoff can
-  // never outlive the request.
-  if (conn.session == nullptr) {
-    serve::SessionOptions sopt = options_.session;
-    sopt.pool = &decode_pool_;
-    sopt.buffer_pool = &buffers_;
-    sopt.num_threads = 0;
-    if (sopt.retry.deadline_us == 0 && options_.request_deadline_ms > 0) {
-      sopt.retry.deadline_us =
-          static_cast<std::uint64_t>(options_.request_deadline_ms) * 1000;
-    }
-    // De-correlate retry jitter across connections so synchronized
-    // faults do not produce synchronized retry storms.
-    sopt.retry.jitter_seed ^= conn.id * 0x9E3779B97F4A7C15ull;
-    try {
-      conn.session = std::make_unique<serve::DecodeSession>(
-          factory_(), backend_, sopt);
-    } catch (const Error& e) {
-      stats_.error_500.fetch_add(1, std::memory_order_relaxed);
-      return send_text(500, std::string("open failed: ") + e.what() + "\n",
-                       /*keep=*/false);
-    }
-  }
-
   std::string body;
   std::uint64_t degraded_bytes = 0;
   if (length > 0) {
@@ -604,10 +572,10 @@ bool Server::serve_request(Conn& conn, const std::string& head,
       std::size_t got = 0;
       if (options_.degraded) {
         serve::DamageReport report;
-        got = conn.session->read_at_damage_tolerant(first, dst, &report);
+        got = session_->read_at_damage_tolerant(first, dst, &report);
         degraded_bytes = report.damaged_bytes();
       } else {
-        got = conn.session->read_at(first, dst);
+        got = session_->read_at(first, dst);
       }
       // last < total, so a short read here is an index/source
       // inconsistency, not EOF.

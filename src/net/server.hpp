@@ -1,5 +1,5 @@
-// The range-request daemon: HTTP/1.1 byte ranges mapped onto
-// DecodeSession::read_at over one shared ThreadPool and BufferPool.
+// The range-request daemon: HTTP/1.1 byte ranges mapped onto the
+// read_at of one DecodeSession shared by every connection.
 //
 // Robustness is the design driver, and every limit is explicit:
 //
@@ -12,9 +12,9 @@
 //     ask for how much.
 //   * Deadlines. A request that waited in the queue past
 //     request_deadline_ms is shed (the client has likely given up; the
-//     decode work would be wasted). The remaining deadline seeds the
-//     per-connection session's RetryPolicy::deadline_us, so retry
-//     backoff can never outlive the request that wanted the block.
+//     decode work would be wasted). The same deadline seeds the
+//     session's RetryPolicy::deadline_us, so retry backoff can never
+//     outlive the request that wanted the block.
 //   * Slow clients. Every response write carries write_timeout_ms; a
 //     stalled peer gets its connection reaped instead of pinning a
 //     worker. Idle and half-header connections are reaped on
@@ -32,9 +32,20 @@
 // exactly one thread at a time: the poller owns it while idle, a worker
 // owns it while a request is served, and ownership moves through the
 // bounded queue (poller -> worker) and the returned_ list (worker ->
-// poller, signalled over a wake pipe). Decode parallelism is separate:
-// all per-connection DecodeSessions share one decode ThreadPool and one
-// BufferPool, whose peak counters remain the memory-bound witness.
+// poller, signalled over a wake pipe).
+//
+// Decode and memory: the server opens one DecodeSession at construction
+// and every connection reads through it, on one decode ThreadPool and
+// one BufferPool. A block decoded for one connection is a cache hit for
+// all of them, and since the session reads ahead only for streams, a
+// random GET decodes just the blocks it covers. The cache holds
+// session.cache_blocks x worker_threads blocks, so memory is bounded
+// per server, whatever the number of connections:
+//
+//   peak pooled bytes <= (window + cache + worker_threads)
+//                        x (block_size + max compressed block size)
+//
+// session_stats().pool is the witness.
 #pragma once
 
 #include <atomic>
@@ -49,7 +60,6 @@
 #include "net/http.hpp"
 #include "serve/backend.hpp"
 #include "serve/decode_session.hpp"
-#include "serve/seek_index.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/socket.hpp"
@@ -57,9 +67,8 @@
 
 namespace gompresso::net {
 
-/// Produces one ByteSource view of the archive per call. Called once per
-/// connection (each session needs its own source) plus once at startup
-/// when no pre-built index is given. Must be callable concurrently.
+/// Produces the ByteSource view of the archive the server's session
+/// reads through. Called once, at construction.
 using SourceFactory = std::function<std::unique_ptr<serve::ByteSource>()>;
 
 struct ServeOptions {
@@ -79,7 +88,7 @@ struct ServeOptions {
   /// client can always re-ask in smaller ranges).
   std::uint64_t max_response_bytes = 16ull << 20;
   /// Queue-wait + decode budget per request. Requests older than this
-  /// when a worker picks them up are shed; it also seeds each session's
+  /// when a worker picks them up are shed; it also seeds the session's
   /// RetryPolicy::deadline_us (unless the caller set one).
   int request_deadline_ms = 10'000;
   /// Reap a connection that sent a partial request head and stalled.
@@ -91,8 +100,10 @@ struct ServeOptions {
   /// Serve reads over damaged blocks zero-filled (206/200 +
   /// X-Gomp-Degraded) instead of failing them with 502.
   bool degraded = false;
-  /// Per-connection DecodeSession tuning. num_threads is ignored — all
-  /// sessions share the server's decode pool.
+  /// Tuning of the server's one DecodeSession. num_threads is ignored —
+  /// the session runs on the server's decode pool — and cache_blocks is
+  /// per worker thread: the shared cache holds cache_blocks x
+  /// worker_threads blocks.
   serve::SessionOptions session;
   /// Workers on the shared decode pool (0 = hardware concurrency).
   std::size_t decode_threads = 0;
@@ -123,16 +134,12 @@ class Server {
   /// Serves the archive `factory` opens through a pre-built container
   /// backend (the robust path: build the geometry from a trusted
   /// source, then even a fault-injected data plane cannot corrupt it).
-  /// The backend is shared by every per-connection session — GMPZ/GMPS
-  /// and gzip backends alike.
+  /// GMPZ/GMPS and gzip backends alike. A null backend sniffs the
+  /// factory's source instead, as the convenience form below does.
   Server(SourceFactory factory, std::shared_ptr<serve::ContainerBackend> backend,
          ServeOptions options = {});
-  /// Native-container compatibility form: wraps the SeekIndex in a
-  /// GMPZ backend.
-  Server(SourceFactory factory, serve::SeekIndex index,
-         ServeOptions options = {});
-  /// Convenience: sniffs one factory() source and builds the matching
-  /// backend (gompresso::open_backend), so `gomp serve any.gz` works.
+  /// Convenience: sniffs the factory's source and builds the matching
+  /// backend (gompresso::open), so `gomp serve any.gz` works.
   explicit Server(SourceFactory factory, ServeOptions options = {});
 
   /// Drains and joins (equivalent to stop()).
@@ -158,8 +165,11 @@ class Server {
 
   ServerStats stats() const;
 
+  /// The shared session's counters; `pool` is the memory-bound witness.
+  serve::SessionStats session_stats() const { return session_->stats(); }
+
   /// Total uncompressed bytes of the served archive.
-  std::uint64_t archive_size() const { return backend_->total_uncompressed(); }
+  std::uint64_t archive_size() const { return session_->size(); }
 
  private:
   /// One client connection. Owned by exactly one thread at a time; the
@@ -167,9 +177,7 @@ class Server {
   struct Conn {
     util::Fd fd;
     std::string inbuf;  // bytes received, not yet consumed as a head
-    std::unique_ptr<serve::DecodeSession> session;  // lazy, first archive read
     std::chrono::steady_clock::time_point last_activity{};
-    std::uint64_t id = 0;  // per-connection retry-jitter salt
     bool close_after = false;
   };
 
@@ -223,19 +231,18 @@ class Server {
   static void shed_response(Conn& conn, int status, const char* reason,
                             bool keep = false);
 
-  static std::shared_ptr<serve::ContainerBackend> build_backend(
-      const SourceFactory& factory, const ServeOptions& options);
   void bump_2xx(int status);
 
   bool admit_bytes(std::uint64_t n);
   void release_bytes(std::uint64_t n);
 
-  SourceFactory factory_;
-  std::shared_ptr<serve::ContainerBackend> backend_;
   ServeOptions options_;
 
   ThreadPool decode_pool_;
   util::BufferPool buffers_;
+  /// Declared after the pools it runs on, so it is destroyed (and its
+  /// in-flight prefetches drained) before them.
+  std::unique_ptr<serve::DecodeSession> session_;
 
   std::unique_ptr<util::TcpListener> listener_;  // bound in start()
   std::uint16_t port_ = 0;
@@ -257,7 +264,6 @@ class Server {
 
   std::atomic<std::size_t> live_conns_{0};
   std::atomic<std::uint64_t> queued_bytes_{0};
-  std::atomic<std::uint64_t> next_conn_id_{1};
   AtomicStats stats_;
 
   util::Mutex stop_mutex_;  // serializes concurrent stop() calls

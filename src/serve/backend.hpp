@@ -6,8 +6,8 @@
 // abstraction splits that into two halves:
 //
 //   * the session keeps everything format-agnostic — scheduling,
-//     prefetch window, LRU cache, retry/backoff, health/damage
-//     tracking, stats — and
+//     readahead for streaming reads, LRU cache, retry/backoff,
+//     health/damage tracking, stats — and
 //   * the backend answers the two format questions: "how do
 //     uncompressed offsets map to compressed extents?" (block table)
 //     and "decode block b from this source into this buffer".
@@ -19,9 +19,10 @@
 //     arbitrary RFC 1952 gzip (src/ingest/gzip_backend.hpp).
 //
 // Backends are immutable after construction and decode_block() must be
-// callable from many pool workers concurrently, so one shared_ptr
-// backend can serve every per-connection session of the net daemon —
-// the expensive part (index build / boundary scan) happens once.
+// callable from many pool workers concurrently: a session decodes its
+// readahead window and the blocks of concurrent readers in parallel,
+// and one shared_ptr backend may serve several sessions — the
+// expensive part (index build / boundary scan) happens once.
 #pragma once
 
 #include <cstddef>

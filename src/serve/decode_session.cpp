@@ -289,10 +289,17 @@ BlockHealth DecodeSession::block_health(std::size_t b) const {
 void DecodeSession::schedule_locked(std::uint64_t first,
                                     std::vector<std::uint64_t>& to_run) {
   const std::uint64_t end_block = backend_->num_blocks();
-  // Subtractive window bound: `first + window_` could wrap for an absurd
+  // Readahead only for streams: lookahead pays off when the reader walks
+  // forward, i.e. it starts at block 0 or was already served from the
+  // predecessor. Any other demand schedules its own block alone.
+  const auto prev = first == 0 ? slots_.end() : slots_.find(first - 1);
+  const bool stream =
+      first == 0 || (prev != slots_.end() && prev->second->delivered);
+  const std::uint64_t span = stream ? window_ : 1;
+  // Subtractive window bound: `first + span` could wrap for an absurd
   // max_inflight_blocks (e.g. CLI --inflight -1 wrapping through stoul)
   // and turn the demanded block's scheduling into a livelock.
-  for (std::uint64_t b = first; b < end_block && b - first < window_; ++b) {
+  for (std::uint64_t b = first; b < end_block && b - first < span; ++b) {
     if (slots_.find(b) != slots_.end()) continue;
     // The demanded block is always scheduled; lookahead stops at the
     // in-flight cap (the pipeline's backpressure).
@@ -358,6 +365,7 @@ void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
       lru_.erase(slot->lru_it);
       lru_.push_front(block);
       slot->lru_it = lru_.begin();
+      slot->delivered = true;
       bump(counters_.bytes_delivered, serve_obs().bytes_delivered, len);
       // Pin the slot and copy outside the lock: a block-sized memcpy
       // under mutex_ would serialize concurrent readers and stall every

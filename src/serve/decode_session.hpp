@@ -9,15 +9,18 @@
 //                        x (block_size + max compressed block size)
 //
 // Internally a ContainerBackend (serve/backend.hpp) maps uncompressed
-// offsets to compressed block extents and decodes one block at a time;
-// a pipelined prefetcher keeps a sliding window of max_inflight_blocks
-// decode tasks in flight on the ThreadPool: sequential reads submit the
-// next window of blocks before blocking on the first, so decode overlaps
-// delivery (the rapidgzip pattern). Decoded blocks land in pooled buffers
-// tracked by an LRU cache, so random-access re-reads are cache hits.
-// Backpressure is the in-flight cap itself: no new block is scheduled
-// while max_inflight_blocks decodes are pending, and the pool's bounded
-// task queue backstops even that.
+// offsets to compressed block extents and decodes one block at a time.
+// Readahead follows the access pattern (the rapidgzip pattern). A read
+// that continues a stream — it demands block 0, or a block whose
+// predecessor a reader has already been served from — submits the next
+// window of max_inflight_blocks blocks before blocking on the first, so
+// decode overlaps delivery for read() scans and forward read_at()
+// sweeps. Any other read decodes only the block it demands: random
+// access pays for no neighbours that nobody reads. Decoded blocks land
+// in pooled buffers tracked by an LRU cache, so random-access re-reads
+// are cache hits. Backpressure is the in-flight cap itself: no
+// lookahead is scheduled while max_inflight_blocks decodes are pending,
+// and the pool's bounded task queue backstops even that.
 //
 // Thread safety: read_at() may be called from many threads concurrently
 // (each concurrent reader adds at most one demanded block beyond the
@@ -50,11 +53,12 @@ namespace gompresso::serve {
 /// and scales it by a factor drawn deterministically from
 /// (jitter_seed, salt, attempt) in [1-jitter, 1+jitter). Seeding keeps
 /// fault plans replayable (same seed, same sleeps) while the salt —
-/// callers pass the block index, and the serve daemon folds a
-/// per-connection id into jitter_seed — de-synchronizes retry storms
-/// when many tasks hit the same fault burst at once. Permanent errors
-/// (CorruptionError, FormatError) are never retried; classification is
-/// by type, never by message string.
+/// callers pass the block index — de-synchronizes retry storms when
+/// many tasks hit the same fault burst at once. The serve daemon needs
+/// no more than that: its connections share one session, which runs
+/// one decode per block, so they cannot retry one block in lockstep.
+/// Permanent errors (CorruptionError, FormatError) are never retried;
+/// classification is by type, never by message string.
 struct RetryPolicy {
   /// Total attempts per block (1 = no retry).
   std::size_t max_attempts = 3;
@@ -87,10 +91,11 @@ struct RetryPolicy {
 };
 
 struct SessionOptions {
-  /// Sliding window of blocks decoded ahead of the reader (including the
-  /// block being read). With spawned pool workers this is the prefetch
-  /// pipeline depth; without them decode happens on the calling thread
-  /// and the window is effectively 1.
+  /// Sliding window of blocks decoded ahead of a streaming reader
+  /// (including the block being read); a read that does not continue a
+  /// stream decodes only its own block. With spawned pool workers this
+  /// is the prefetch pipeline depth; without them decode happens on the
+  /// calling thread and the window is effectively 1.
   std::size_t max_inflight_blocks = 4;
   /// Decoded-block LRU capacity. Rounded up to max_inflight_blocks so
   /// the prefetch window can never thrash its own output.
@@ -109,13 +114,12 @@ struct SessionOptions {
   /// in microseconds; null = std::this_thread::sleep_for. Must be
   /// callable from pool workers concurrently.
   std::function<void(std::uint64_t)> sleep_hook;
-  /// Shared decode pool. When set it overrides num_threads entirely —
-  /// the serve daemon runs every per-connection session on one pool so
-  /// concurrency is bounded by the pool, not by the connection count.
-  /// Must outlive the session. nullptr = honor num_threads.
+  /// Shared decode pool. When set it overrides num_threads entirely (the
+  /// serve daemon passes its decode pool). Must outlive the session.
+  /// nullptr = honor num_threads.
   ThreadPool* pool = nullptr;
-  /// Shared buffer pool (same motivation: one memory-bound witness for
-  /// all sessions). Must outlive the session. nullptr = own pool.
+  /// Shared buffer pool, the memory-bound witness of everything leased
+  /// from it. Must outlive the session. nullptr = own pool.
   util::BufferPool* buffer_pool = nullptr;
 };
 
@@ -277,6 +281,8 @@ class DecodeSession {
     std::exception_ptr error;           // unclassified failures only
     int waiters = 0;                    // readers blocked on or pinning this
                                         // block (eviction skips pinned slots)
+    bool delivered = false;             // a reader has copied from it: a read
+                                        // of its successor continues a stream
     std::list<std::uint64_t>::iterator lru_it{};  // valid when kReady
   };
 

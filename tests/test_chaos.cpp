@@ -290,7 +290,7 @@ TEST(Chaos, ServeSoakKeepsTaxonomyAndBytesUnderFaultsAndOverload) {
                   serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
                   serve::FaultPlan::parse(spec)));
         },
-        index, opt);
+        serve::make_gmpz_backend(index), opt);
     server.start();
 
     const std::uint64_t total = f.input.size();

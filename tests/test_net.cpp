@@ -359,8 +359,8 @@ TEST(ServeNet, HeadAnswersGeometryWithoutDecoding) {
 
 TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   const ServerFixture f;
-  // Locate block 1's payload in the compressed file, then hand every
-  // session a source that corrupts it. The index is pre-built from the
+  // Locate block 1's payload in the compressed file, then hand the
+  // server a source that corrupts it. The index is pre-built from the
   // clean bytes, as the daemon does.
   auto clean = serve::memory_source(ByteSpan(f.file.data(), f.file.size()));
   serve::SeekIndex index = serve::SeekIndex::build(*clean);
@@ -379,7 +379,8 @@ TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   const std::uint64_t block_hi = victim.uncomp_offset + victim.uncomp_size - 1;
 
   {  // Default: faithful service only — damaged range is a 502.
-    net::Server server(faulty_factory, index, f.options());
+    net::Server server(faulty_factory, serve::make_gmpz_backend(index),
+                       f.options());
     server.start();
     net::HttpClient client(server.port());
     net::HttpResponse resp;
@@ -399,7 +400,7 @@ TEST(ServeNet, DamagedBlocksAre502ByDefaultAndDegraded206WhenEnabled) {
   {  // Degraded mode: zero-filled 206 with the damage advertised.
     net::ServeOptions opt = f.options();
     opt.degraded = true;
-    net::Server server(faulty_factory, index, opt);
+    net::Server server(faulty_factory, serve::make_gmpz_backend(index), opt);
     server.start();
     net::HttpClient client(server.port());
     net::HttpResponse resp;
@@ -463,30 +464,62 @@ TEST(ServeNet, GracefulDrainStopsAcceptingAndJoins) {
 }
 
 TEST(ServeNet, SharedPoolsBoundMemoryAcrossConnections) {
-  const ServerFixture f;
+  // Pooled memory is bounded per server, not per connection: four open
+  // connections that each read their own blocks share one cache of
+  // cache_blocks x worker_threads decoded blocks.
+  const ServerFixture f(400000);
   net::ServeOptions opt = f.options();
-  opt.session.max_inflight_blocks = 2;
   opt.session.cache_blocks = 2;
   net::Server server(f.factory(), opt);
   server.start();
 
-  // Several connections each pull several ranges; all sessions lease
-  // from one BufferPool whose peak stays near one connection's worth,
-  // far below (connections x archive size).
+  constexpr std::uint64_t kBlock = 16 * 1024;  // ServerFixture's block size
+  std::vector<std::unique_ptr<net::HttpClient>> clients;
   for (int c = 0; c < 4; ++c) {
-    net::HttpClient client(server.port());
-    net::HttpResponse resp;
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(client.get(
-          "/archive",
-          {"Range: bytes=" + std::to_string(i * 20000) + "-" +
-           std::to_string(i * 20000 + 4999)},
-          resp));
-      EXPECT_EQ(resp.status, 206);
+    clients.push_back(std::make_unique<net::HttpClient>(server.port()));
+  }
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    for (std::uint64_t c = 0; c < clients.size(); ++c) {
+      const std::uint64_t off = (c * 3 + i) * kBlock + 100;
+      net::HttpResponse resp;
+      ASSERT_TRUE(clients[c]->get("/archive",
+                                  {"Range: bytes=" + std::to_string(off) + "-" +
+                                   std::to_string(off + 4999)},
+                                  resp));
+      ASSERT_EQ(resp.status, 206);
+      EXPECT_TRUE(std::equal(f.input.begin() + static_cast<long>(off),
+                             f.input.begin() + static_cast<long>(off + 5000),
+                             reinterpret_cast<const std::uint8_t*>(resp.body.data())));
     }
   }
   server.stop();
-  EXPECT_EQ(server.stats().partial_206, 12u);
+  const serve::SessionStats st = server.session_stats();
+  EXPECT_EQ(st.blocks_decoded, 12u);
+  EXPECT_GT(st.evictions, 0u);
+  // Requests arrive one at a time and decode inline, so beside the
+  // shared cache at most one decode's output and compressed staging
+  // buffers are leased. Per-connection caches would hold 4 x 2 blocks.
+  EXPECT_LE(st.pool.peak_outstanding, opt.session.cache_blocks * opt.worker_threads + 2);
+}
+
+TEST(ServeNet, ConnectionsShareOneDecodeCache) {
+  // A block decoded for one connection is a cache hit for the next.
+  const ServerFixture f;
+  net::Server server(f.factory(), f.options());
+  server.start();
+  const std::uint64_t before = metrics_snapshot().counter("serve.blocks_decoded");
+  net::HttpClient first(server.port());
+  net::HttpClient second(server.port());
+  for (net::HttpClient* client : {&first, &second}) {
+    net::HttpResponse resp;
+    ASSERT_TRUE(client->get("/archive", {"Range: bytes=40000-40999"}, resp));
+    ASSERT_EQ(resp.status, 206);
+    EXPECT_TRUE(std::equal(f.input.begin() + 40000, f.input.begin() + 41000,
+                           reinterpret_cast<const std::uint8_t*>(resp.body.data())));
+  }
+  server.stop();
+  EXPECT_EQ(server.stats().accepted, 2u);
+  EXPECT_EQ(metrics_snapshot().counter("serve.blocks_decoded") - before, 1u);
 }
 
 }  // namespace

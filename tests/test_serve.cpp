@@ -284,6 +284,68 @@ TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
   EXPECT_EQ(st.demand_decodes + st.prefetch_decodes, st.blocks_decoded);
 }
 
+// Readahead policy: the window is spent only on reads that continue a
+// stream (block 0, or a block whose predecessor was already delivered).
+
+TEST(DecodeSession, ScatteredReadAtsDecodeOnlyTheirOwnBlocks) {
+  const Fixture f(400000, 16 * 1024);
+  serve::SessionOptions opt;
+  opt.num_threads = 4;
+  auto session = f.session(opt);
+  const std::size_t blocks[] = {3, 12, 7, 20};  // never a successor of a read block
+  for (const std::size_t b : blocks) {
+    const std::uint64_t off = session.block_extent(b).uncomp_offset + 100;
+    const Bytes got = session.read_bytes_at(off, 5000);
+    ASSERT_EQ(got.size(), 5000u);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           f.input.begin() + static_cast<long>(off)));
+  }
+  const serve::SessionStats st = session.stats();
+  EXPECT_EQ(st.prefetch_decodes, 0u);
+  EXPECT_EQ(st.blocks_decoded, std::size(blocks));
+}
+
+TEST(DecodeSession, ForwardSweepsKeepTheReadaheadWindow) {
+  const Fixture f(400000, 16 * 1024);
+  serve::SessionOptions opt;
+  opt.num_threads = 4;
+  {
+    auto session = f.session(opt);
+    Bytes out(f.input.size());
+    for (std::size_t off = 0; off < out.size(); off += 10000) {
+      const std::size_t len = std::min<std::size_t>(10000, out.size() - off);
+      ASSERT_EQ(session.read_at(off, MutableByteSpan(out.data() + off, len)), len);
+    }
+    EXPECT_EQ(out, f.input);
+    EXPECT_GT(session.stats().prefetch_decodes, 0u);
+  }
+  auto session = f.session(opt);
+  EXPECT_TRUE(session.verify_archive().clean());
+  EXPECT_GT(session.stats().prefetch_decodes, 0u);
+}
+
+TEST(DecodeSession, SeekThenReadPrefetchesFromItsSecondBlock) {
+  const Fixture f(400000, 16 * 1024);
+  serve::SessionOptions opt;
+  opt.num_threads = 4;
+  auto session = f.session(opt);
+  const serve::BackendBlock mid = session.block_extent(10);
+  const std::uint64_t start = mid.uncomp_offset + 1000;
+  const std::size_t rest_of_block = static_cast<std::size_t>(mid.uncomp_size) - 1000;
+  session.seek(start);
+  Bytes got(rest_of_block + 40000);
+  // The first read ends inside the block it seeked into: a lone demand.
+  ASSERT_EQ(session.read(MutableByteSpan(got.data(), rest_of_block)), rest_of_block);
+  EXPECT_EQ(session.stats().prefetch_decodes, 0u);
+  EXPECT_EQ(session.stats().blocks_decoded, 1u);
+  // Reading on into block 11 continues the stream and fills the window.
+  const std::size_t more = got.size() - rest_of_block;
+  ASSERT_EQ(session.read(MutableByteSpan(got.data() + rest_of_block, more)), more);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                         f.input.begin() + static_cast<long>(start)));
+  EXPECT_GT(session.stats().prefetch_decodes, 0u);
+}
+
 TEST(DecodeSession, ConcurrentRandomReadsFromManyThreads) {
   const Fixture f(300000, 16 * 1024);
   serve::SessionOptions opt;
