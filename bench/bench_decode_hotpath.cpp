@@ -1,13 +1,14 @@
 // Decode hot-path benchmark + trajectory emitter (BENCH_decode.json).
 //
 // Measures single-thread decompression throughput on the zipf-text
-// dataset for every codec x strategy pair, plus the token-decode stage in
-// isolation, and compares the rebuilt fast path against a faithful
-// re-implementation of the pre-fast-path decoder (one-byte-at-a-time
-// conservative bit refill, unfused {symbol,length} tables, three
-// dependent lookups per match token, fresh allocations per block). The
-// acceptance bar for the fast-path PR — and the regression bar for every
-// PR after it — is:
+// dataset for every codec, with and without dependency elimination (the
+// DE/MRR in entry names is the stream's DE flag), plus the token-decode
+// and LZ77-resolution stages in isolation, and compares the rebuilt fast
+// path against a faithful re-implementation of the pre-fast-path decoder
+// (one-byte-at-a-time conservative bit refill, unfused {symbol,length}
+// tables, three dependent lookups per match token, fresh allocations per
+// block). The acceptance bar for the fast-path PR — and the regression
+// bar for every PR after it — is:
 //
 //   * fast-path token decode >= 1.5x the legacy token decode, and
 //   * zero steady-state heap allocations per block, proven by the
@@ -26,12 +27,12 @@
 #include "core/byte_codec.hpp"
 #include "core/resolve_parallel.hpp"
 #include "core/tans_codec.hpp"
-#include "core/warp_lz77.hpp"
 #include "datagen/datasets.hpp"
 #include "format/header.hpp"
 #include "huffman/code_builder.hpp"
 #include "huffman/serial.hpp"
 #include "lz77/deflate_tables.hpp"
+#include "lz77/ref_decoder.hpp"
 #include "simt/warp.hpp"
 #include "util/thread_pool.hpp"
 #include "util/varint.hpp"
@@ -425,17 +426,18 @@ int main(int argc, char** argv) {
   const Bytes input = datagen::wikipedia(bytes);  // the zipf-text generator
   JsonReport report("decode_hotpath", "zipf-text", reps);
 
-  // --- full-pipeline decode throughput, codec x strategy, 1 thread -----
+  // --- full-pipeline decode throughput, codec x DE flag, 1 thread ------
+  // Entry names keep the paper's labels: DE is a stream compressed with
+  // dependency elimination, MRR one without (production decode resolves
+  // both with the same kernel).
   std::printf("%-28s %14s\n", "configuration", "MB/s");
   for (const Codec codec : {Codec::kByte, Codec::kBit, Codec::kTans}) {
-    for (const Strategy strategy : {Strategy::kDependencyFree, Strategy::kMultiRound}) {
+    for (const bool de : {true, false}) {
       CompressOptions copt;
       copt.codec = codec;
-      copt.dependency_elimination = strategy == Strategy::kDependencyFree;
+      copt.dependency_elimination = de;
       const Bytes file = compress(input, copt);
       DecompressOptions dopt;
-      dopt.auto_strategy = false;
-      dopt.strategy = strategy;
       dopt.verify_checksums = false;
       dopt.num_threads = 1;
       DecompressResult result;
@@ -445,7 +447,7 @@ int main(int argc, char** argv) {
                                (codec == Codec::kByte  ? "byte"
                                 : codec == Codec::kBit ? "bit"
                                                        : "tans") +
-                               "/" + strategy_name(strategy) + "/1T";
+                               (de ? "/DE" : "/MRR") + "/1T";
       report.add(name, sec, input.size());
       std::printf("%-28s %14.1f\n", name.c_str(), input.size() / 1e6 / sec);
 
@@ -511,8 +513,6 @@ int main(int argc, char** argv) {
     }
   };
   DecompressOptions dopt;
-  dopt.auto_strategy = false;
-  dopt.strategy = Strategy::kDependencyFree;
   dopt.verify_checksums = false;
   dopt.num_threads = 1;
   DecompressResult fast_result;
@@ -600,10 +600,11 @@ int main(int argc, char** argv) {
 
   // --- phase-2 resolution stage in isolation ---------------------------
   // Decode the bit/DE file's tokens once, then time resolution alone:
-  // the serial fast resolver, the sharded resolver on a 2-thread pool
-  // (the watermark-handoff path this PR adds), and the compiled-in seed
-  // resolver (zero-initialised group state, simulated shuffle scans,
-  // per-block metric merges). Byte-identity of every variant is a hard
+  // the production resolvers — the sequential lz77::resolve_span kernel
+  // and the sharded resolver on a 2-thread pool (the watermark-handoff
+  // path single-block files take) — and the compiled-in seed resolver
+  // (zero-initialised group state, simulated shuffle scans, per-block
+  // metric merges). Byte-identity of every variant is a hard
   // gate; so is the fast-1T-vs-legacy speedup. The 2T speedup gate is
   // enforced only on hosts with >= 2 hardware threads — on a 1-core box
   // two threads time-share and the ratio measures the scheduler.
@@ -626,25 +627,22 @@ int main(int argc, char** argv) {
   };
 
   const auto run_resolve_fast_1t = [&] {
-    simt::WarpMetrics m;
     for (std::size_t b = 0; b < token_blocks.size(); ++b) {
       const auto& t = token_blocks[b];
-      core::resolve_block(t.sequences, t.literals.data(), t.literals.size(),
-                          resolve_slice(b), Strategy::kDependencyFree, &m);
+      lz77::resolve_span(t.sequences, t.literals.data(), t.literals.size(),
+                         resolve_slice(b), /*base=*/0);
     }
   };
   ThreadPool resolve_pool(2);
   core::ResolvePlan resolve_plan;
   const auto run_resolve_fast_2t = [&] {
-    simt::WarpMetrics m;
     for (std::size_t b = 0; b < token_blocks.size(); ++b) {
       const auto& t = token_blocks[b];
       if (!core::resolve_block_sharded(t.sequences, t.literals.data(),
                                        t.literals.size(), resolve_slice(b),
-                                       Strategy::kDependencyFree, resolve_plan,
-                                       resolve_pool, &m)) {
-        core::resolve_block(t.sequences, t.literals.data(), t.literals.size(),
-                            resolve_slice(b), Strategy::kDependencyFree, &m);
+                                       resolve_plan, resolve_pool)) {
+        lz77::resolve_span(t.sequences, t.literals.data(), t.literals.size(),
+                           resolve_slice(b), /*base=*/0);
       }
     }
   };

@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot kernels underneath the
 // figure benches: bitstream refill, single-lookup Huffman decode, LZ77
-// match extension, warp prefix scans, CRC32, tANS, and the three
-// strategy resolvers on one warp group's worth of work.
+// match extension, warp prefix scans, CRC32, tANS, and whole-file
+// warp-simulator decompression under each of the paper's strategies.
 #include <benchmark/benchmark.h>
 
 #include "ans/tans.hpp"
@@ -15,6 +15,7 @@
 #include "huffman/encoder.hpp"
 #include "lz77/matcher.hpp"
 #include "lz77/parser.hpp"
+#include "sim/decompress.hpp"
 #include "simt/warp.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -115,28 +116,24 @@ void BM_LzParse(benchmark::State& state) {
 BENCHMARK(BM_LzParse)->Arg(0)->Arg(1);
 
 void BM_StrategyResolve(benchmark::State& state) {
-  const Strategy strategy = static_cast<Strategy>(state.range(0));
+  const auto strategy = static_cast<sim::Strategy>(state.range(0));
   const Bytes input = datagen::wikipedia(4 << 20);
   CompressOptions copt;
   copt.codec = Codec::kByte;
-  copt.dependency_elimination = strategy == Strategy::kDependencyFree;
+  copt.dependency_elimination = strategy == sim::Strategy::kDependencyFree;
   const Bytes file = compress(input, copt);
-  DecompressOptions dopt;
-  dopt.auto_strategy = false;
-  dopt.strategy = strategy;
-  dopt.verify_checksums = false;
   for (auto _ : state) {
-    auto result = decompress(file, dopt);
+    auto result = sim::decompress(file, strategy);
     benchmark::DoNotOptimize(result.data.data());
   }
   state.SetBytesProcessed(state.iterations() * (4 << 20));
-  state.SetLabel(strategy_name(strategy));
+  state.SetLabel(sim::strategy_name(strategy));
 }
 BENCHMARK(BM_StrategyResolve)
-    ->Arg(static_cast<int>(Strategy::kSequentialCopy))
-    ->Arg(static_cast<int>(Strategy::kMultiRound))
-    ->Arg(static_cast<int>(Strategy::kDependencyFree))
-    ->Arg(static_cast<int>(Strategy::kMultiPass));
+    ->Arg(static_cast<int>(sim::Strategy::kSequentialCopy))
+    ->Arg(static_cast<int>(sim::Strategy::kMultiRound))
+    ->Arg(static_cast<int>(sim::Strategy::kDependencyFree))
+    ->Arg(static_cast<int>(sim::Strategy::kMultiPass));
 
 }  // namespace
 }  // namespace gompresso

@@ -59,12 +59,19 @@ std::uint64_t pool_budget(const serve::SeekIndex& index,
 void assert_memory_bound(const DecodeSession& session,
                          const serve::SessionOptions& opt, const char* what) {
   const util::BufferPool::Stats pool = session.stats().pool;
-  const std::uint64_t budget = pool_budget(session.index(), opt);
+  const std::uint64_t budget = pool_budget(*session.backend().seek_index(), opt);
   std::printf("%-28s peak pooled %.2f MiB (budget %.2f MiB, %zu buffers)\n", what,
               pool.peak_outstanding_bytes / 1048576.0, budget / 1048576.0,
               pool.peak_outstanding);
   check(pool.peak_outstanding_bytes <= budget,
         "bench: session exceeded its O(window x block) memory budget");
+}
+
+/// A session over the bench file, opened the production way.
+std::unique_ptr<DecodeSession> open_bench_file(const serve::SessionOptions& opt) {
+  OpenOptions oopt;
+  oopt.session = opt;
+  return gompresso::open(serve::open_file_source(kCompressedPath), oopt);
 }
 
 }  // namespace
@@ -109,10 +116,10 @@ int main(int argc, char** argv) {
   sopt.verify_checksums = false;
   Bytes chunk(kStreamCopyChunk);
   const auto stream_once = [&](bool verify) {
-    DecodeSession session(serve::open_file_source(kCompressedPath), sopt);
+    const auto session = open_bench_file(sopt);
     std::uint64_t off = 0;
     std::size_t n;
-    while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+    while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
       if (verify) {
         check(std::memcmp(chunk.data(), input.data() + off, n) == 0,
               "bench: streamed bytes differ from the input");
@@ -122,7 +129,7 @@ int main(int argc, char** argv) {
     check(off == input.size(), "bench: streamed size mismatch");
     // The memory gate rides along on every run — it must hold for the
     // full kFullBytes input, proving the bound has no file-size term.
-    assert_memory_bound(session, sopt, "serve/sequential");
+    assert_memory_bound(*session, sopt, "serve/sequential");
   };
   stream_once(/*verify=*/true);  // correctness gate (hard), also warm-up
   const double stream_sec = time_median_of(reps, [&] { stream_once(false); });
@@ -141,7 +148,11 @@ int main(int argc, char** argv) {
     auto faulty = std::make_unique<serve::FaultInjectingByteSource>(
         serve::open_file_source(kCompressedPath));
     serve::FaultInjectingByteSource* handle = faulty.get();
-    DecodeSession session(std::move(faulty), sopt);
+    // The index scan reads through the fault harness too (faults arm
+    // after it, below).
+    auto backend = serve::make_gmpz_backend(serve::SeekIndex::build(*faulty),
+                                            sopt.verify_checksums);
+    DecodeSession session(std::move(faulty), std::move(backend), sopt);
     handle->set_random_transients(/*rate=*/0.01, /*burst=*/1, /*seed=*/1234);
     std::uint64_t off = 0;
     std::size_t n;
@@ -167,7 +178,7 @@ int main(int argc, char** argv) {
 
   // --- warm random access ------------------------------------------------
   {
-    DecodeSession session(serve::open_file_source(kCompressedPath), sopt);
+    const auto session = open_bench_file(sopt);
     Rng rng(99);
     constexpr std::size_t kProbe = 64 * 1024;
     Bytes got(kProbe);
@@ -178,7 +189,7 @@ int main(int argc, char** argv) {
       for (int i = 0; i < 64; ++i) {
         const std::uint64_t off = rng.next_below(input.size());
         const std::size_t n =
-            session.read_at(off, MutableByteSpan(got.data(), got.size()));
+            session->read_at(off, MutableByteSpan(got.data(), got.size()));
         check(n == std::min<std::uint64_t>(kProbe, input.size() - off),
               "bench: read_at length mismatch");
         check(std::memcmp(got.data(), input.data() + off, n) == 0,
@@ -189,7 +200,7 @@ int main(int argc, char** argv) {
     report.add("serve/random_64k", random_sec, probes / (reps + 1));
     std::printf("%-28s %14.1f MB/s\n", "serve/random_64k",
                 probes / (reps + 1) / 1e6 / random_sec);
-    assert_memory_bound(session, sopt, "serve/random_64k");
+    assert_memory_bound(*session, sopt, "serve/random_64k");
   }
 
   // --- cold-seek latency -------------------------------------------------
@@ -200,8 +211,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < (quick ? 8 : 16); ++i) {
       const std::uint64_t off = rng.next_below(input.size());
       Stopwatch t;
-      DecodeSession session(serve::open_file_source(kCompressedPath), sopt);
-      const std::size_t n = session.read_at(off, MutableByteSpan(got.data(), got.size()));
+      const auto session = open_bench_file(sopt);
+      const std::size_t n = session->read_at(off, MutableByteSpan(got.data(), got.size()));
       samples.push_back(t.seconds());
       check(n > 0 && std::memcmp(got.data(), input.data() + off, n) == 0,
             "bench: cold seek returned wrong bytes");

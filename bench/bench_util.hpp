@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/gompresso.hpp"
+#include "sim/decompress.hpp"
 #include "sim/energy_model.hpp"
 #include "sim/gpu_cost_model.hpp"
 #include "util/stopwatch.hpp"
@@ -31,6 +32,10 @@
 #endif
 
 namespace gompresso::bench {
+
+// The figure benches name the paper's strategies unqualified.
+using sim::Strategy;
+using sim::strategy_name;
 
 /// Default dataset size for the figure benches (scaled from the paper's
 /// 1 GB to suit this container; both generators are stationary sources so
@@ -53,22 +58,18 @@ inline double time_best_of(int n, const std::function<void()>& fn) {
 /// device model consumes.
 struct DecompressMeasurement {
   double seconds = 0;
-  DecompressResult result;
+  sim::SimResult result;
   sim::RunProfile profile;
 };
 
-/// Times decompression of `file` (whose plaintext is `input_size` bytes)
-/// with the given strategy and fills the device-model profile.
+/// Times warp-simulator decompression of `file` (whose plaintext is
+/// `input_size` bytes) with the given strategy and fills the device-model
+/// profile from the simulator's execution counts.
 inline DecompressMeasurement measure_decompress(ByteSpan file, std::size_t input_size,
-                                                Codec codec, Strategy strategy,
+                                                Codec codec, sim::Strategy strategy,
                                                 int repeats = 2) {
-  DecompressOptions dopt;
-  dopt.auto_strategy = false;
-  dopt.strategy = strategy;
-  dopt.verify_checksums = false;  // measure the decompressor, not CRC32
-
   DecompressMeasurement m;
-  m.seconds = time_best_of(repeats, [&] { m.result = decompress(file, dopt); });
+  m.seconds = time_best_of(repeats, [&] { m.result = sim::decompress(file, strategy); });
   check(m.result.data.size() == input_size, "bench: size mismatch");
 
   m.profile.uncompressed_bytes = input_size;

@@ -21,8 +21,6 @@
 //   --window <B>      sliding window in bytes, power of two (default 8192)
 //   --subblock <N>    sequences per sub-block (default 16)
 //   --effort <N>      match-finder chain depth (default 16)
-// Decompression options:
-//   --strategy <s>    sc | mrr | de | multipass (default: auto)
 // Session options (cat/range/verify):
 //   --threads <N>     prefetch pipeline threads (0 = shared pool)
 //   --inflight <N>    prefetch window in blocks (default 4)
@@ -110,8 +108,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: gomp c [--byte] [--no-de] [--block KB] [--window B]\n"
                "              [--subblock N] [--effort N] <input> <output>\n"
-               "       gomp d [--strategy sc|mrr|de|multipass] [--trace OUT]\n"
-               "              <input> <output>\n"
+               "       gomp d [--trace OUT] <input> <output>\n"
                "       gomp info <input>\n"
                "       gomp cat [--threads N] [--inflight N] [--cache N]\n"
                "                [--index SIDECAR] [--inject-faults SPEC]\n"
@@ -599,20 +596,6 @@ int cmd_decompress(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (arg == "--strategy" && i + 1 < argc) {
-      const std::string s = argv[++i];
-      opt.auto_strategy = false;
-      if (s == "sc") {
-        opt.strategy = Strategy::kSequentialCopy;
-      } else if (s == "mrr") {
-        opt.strategy = Strategy::kMultiRound;
-      } else if (s == "de") {
-        opt.strategy = Strategy::kDependencyFree;
-      } else if (s == "multipass") {
-        opt.strategy = Strategy::kMultiPass;
-      } else {
-        return usage();
-      }
     } else if (input_path.empty()) {
       input_path = arg;
     } else if (output_path.empty()) {
@@ -630,11 +613,9 @@ int cmd_decompress(int argc, char** argv) {
   const double seconds = timer.seconds();
   trace.finish();  // decompress() joins its workers before returning
   write_file(output_path, result.data);
-  std::printf("%s: %zu -> %zu bytes, %.2f GB/s, strategy %s, avg rounds %.2f\n",
-              input_path.c_str(), file.size(), result.data.size(),
-              gb_per_sec(result.data.size(), seconds),
-              strategy_name(result.strategy_used),
-              result.metrics.avg_rounds_per_group());
+  std::printf("%s: %zu -> %zu bytes, %.2f GB/s\n", input_path.c_str(),
+              file.size(), result.data.size(),
+              gb_per_sec(result.data.size(), seconds));
   return 0;
 }
 

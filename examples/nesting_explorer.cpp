@@ -2,13 +2,14 @@
 // Multi-Round Resolution behaviour (paper §IV-A and Fig. 9b/9c/10).
 //
 // Generates the paper's artificial nesting datasets at several depths,
-// decompresses them with MRR, and prints the per-round resolution
+// decompresses them with MRR in the warp simulator, and prints the per-round resolution
 // histogram — the number of back-references and bytes that become
 // resolvable in each warp round.
 #include <cstdio>
 
 #include "core/gompresso.hpp"
 #include "datagen/nesting.hpp"
+#include "sim/decompress.hpp"
 #include "util/stopwatch.hpp"
 
 int main() {
@@ -29,11 +30,8 @@ int main() {
     copt.codec = Codec::kByte;
     const Bytes file = compress(input, copt);
 
-    DecompressOptions dopt;
-    dopt.auto_strategy = false;
-    dopt.strategy = Strategy::kMultiRound;
     Stopwatch timer;
-    const DecompressResult r = decompress(file, dopt);
+    const sim::SimResult r = sim::decompress(file, sim::Strategy::kMultiRound);
     const double ms = timer.millis();
     if (r.data != input) {
       std::printf("ERROR: round trip failed\n");

@@ -1,18 +1,22 @@
 // Strategy tour: one dataset, every resolution strategy, side by side.
 //
 // Compresses Wikipedia-like text twice (with and without dependency
-// elimination) and decompresses with each applicable strategy, printing
-// measured speed on this machine and the modeled Tesla K40 throughput
-// from the calibrated device model — the two views the benchmarks use.
+// elimination) and decompresses with each applicable strategy through the
+// warp simulator (sim::decompress), printing measured speed on this
+// machine and the modeled Tesla K40 throughput from the calibrated device
+// model — the two views the benchmarks use. Production decompress() has
+// no strategy: it resolves every block with one kernel.
 #include <cstdio>
 
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
+#include "sim/decompress.hpp"
 #include "sim/gpu_cost_model.hpp"
 #include "util/stopwatch.hpp"
 
 int main() {
   using namespace gompresso;
+  using sim::Strategy;
   constexpr std::size_t kSize = 16 * 1024 * 1024;
   const Bytes input = datagen::wikipedia(kSize);
   const sim::K40Model k40;
@@ -31,11 +35,8 @@ int main() {
          {Strategy::kSequentialCopy, Strategy::kMultiRound, Strategy::kMultiPass,
           Strategy::kDependencyFree}) {
       if (strategy == Strategy::kDependencyFree && !de) continue;
-      DecompressOptions dopt;
-      dopt.auto_strategy = false;
-      dopt.strategy = strategy;
       Stopwatch timer;
-      const DecompressResult r = decompress(file, dopt);
+      const sim::SimResult r = sim::decompress(file, strategy);
       const double seconds = timer.seconds();
       if (r.data != input) {
         std::printf("ERROR: mismatch\n");
@@ -51,7 +52,7 @@ int main() {
               ? static_cast<double>(r.multipass.passes)
               : r.metrics.avg_rounds_per_group();
       std::printf("%-10s %-14s %-10.2f %-12.2f %-14.2f %.2f\n",
-                  de ? "DE" : "plain", strategy_name(strategy), stats.ratio(),
+                  de ? "DE" : "plain", sim::strategy_name(strategy), stats.ratio(),
                   profile.avg_rounds_per_group, gb_per_sec(input.size(), seconds),
                   k40.throughput_gb_per_s(profile));
     }

@@ -13,9 +13,14 @@ Two trajectories are ratcheted in CI:
   encode: BENCH_encode.json, ref compress/bit/legacy-v0
 
 A single entry can still be noisy on shared runners, so the gate is the
-*median* relative change across all baseline entries (the satellite's
+*median* relative change across all baseline entries (the
 ">10% median regression" rule): half the suite has to get slower before
 the ratchet trips. Failures name the per-entry offenders, worst first.
+
+Normalization cancels single-thread speed, not parallelism or
+optimization level, so the two reports must carry the same `threads` and
+`build_type` stamps; a missing or differing stamp fails the ratchet and
+names both stamps instead of comparing across machines silently.
 
 Usage: bench_ratchet.py <baseline.json> <current.json>
            [--threshold 0.10] [--ref pipeline/bit/DE/legacy-v0]
@@ -27,13 +32,30 @@ import statistics
 import sys
 
 
-def load_entries(path):
+STAMPS = ("threads", "build_type")
+
+
+def load_report(path):
     with open(path) as f:
         doc = json.load(f)
     entries = {e["name"]: float(e["mb_per_s"]) for e in doc["entries"]}
     if not entries:
         sys.exit(f"ratchet: {path} contains no entries")
-    return entries
+    return doc, entries
+
+
+def check_stamps(base_doc, base_path, cur_doc, cur_path):
+    """Exits nonzero unless both reports carry equal threads/build_type."""
+    base_stamp = {k: base_doc.get(k) for k in STAMPS}
+    cur_stamp = {k: cur_doc.get(k) for k in STAMPS}
+    missing = [k for k in STAMPS if base_stamp[k] is None or cur_stamp[k] is None]
+    if missing or base_stamp != cur_stamp:
+        why = (f"missing {', '.join(missing)}" if missing
+               else "stamps differ")
+        sys.exit(f"ratchet: cannot compare across machines ({why}): "
+                 f"{base_path} has {base_stamp}, {cur_path} has {cur_stamp}; "
+                 "re-capture the baseline at the runner's thread count and "
+                 "build type")
 
 
 def normalized(entries, ref_name, path):
@@ -53,8 +75,11 @@ def main():
                         help="reference entry used to normalize out machine speed")
     args = parser.parse_args()
 
-    base = normalized(load_entries(args.baseline), args.ref, args.baseline)
-    cur = normalized(load_entries(args.current), args.ref, args.current)
+    base_doc, base_entries = load_report(args.baseline)
+    cur_doc, cur_entries = load_report(args.current)
+    check_stamps(base_doc, args.baseline, cur_doc, args.current)
+    base = normalized(base_entries, args.ref, args.baseline)
+    cur = normalized(cur_entries, args.ref, args.current)
 
     missing = sorted(set(base) - set(cur))
     if missing:

@@ -2,9 +2,10 @@
 
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
+#include "core/options.hpp"
 #include "core/resolve_parallel.hpp"
 #include "core/tans_codec.hpp"
-#include "core/warp_lz77.hpp"
+#include "lz77/ref_decoder.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32.hpp"
 #include "util/varint.hpp"
@@ -33,24 +34,14 @@ DecodeObs& decode_obs() {
 
 }  // namespace
 
-Strategy resolve_strategy(const DecompressOptions& options,
-                          const format::FileHeader& header) {
-  if (options.auto_strategy) {
-    return header.dependency_elimination ? Strategy::kDependencyFree
-                                         : Strategy::kMultiRound;
-  }
-  if (options.strategy == Strategy::kDependencyFree) {
-    check(header.dependency_elimination,
-          "decompress: DE strategy requires a DE-compressed file");
-  }
-  return options.strategy;
-}
-
-void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc,
-                     MutableByteSpan out, Strategy strategy, bool verify_checksum,
-                     BlockDecodeContext& ctx, ThreadPool* lane_pool) try {
+const lz77::TokenBlock* decode_block_tokens(const format::FileHeader& header,
+                                            ByteSpan payload_with_crc,
+                                            MutableByteSpan out,
+                                            BlockDecodeContext& ctx,
+                                            ThreadPool* lane_pool,
+                                            std::uint32_t& crc) {
   std::size_t p = 0;
-  const std::uint32_t stored_crc = get_u32le(payload_with_crc, p);
+  crc = get_u32le(payload_with_crc, p);
   check_corrupt(p < payload_with_crc.size(), "decompress: truncated block payload");
   const std::uint8_t mode = payload_with_crc[p++];
   const ByteSpan payload = payload_with_crc.subspan(p);
@@ -59,64 +50,68 @@ void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc
     check_corrupt(payload.size() == out.size(),
                   "decompress: stored block size mismatch");
     std::copy(payload.begin(), payload.end(), out.begin());
+    return nullptr;
+  }
+  check_corrupt(mode == kBlockModeCoded, "decompress: unknown block mode");
+  // Every codec decodes into the context's scratch arena — zero
+  // allocations once its buffers are warm — and optionally fans its
+  // independent sub-block lanes (record-array chunks for /Byte) out
+  // across `lane_pool`. Pre-size the arena on the context's first block
+  // (not eagerly — most pool participants never run when blocks are
+  // few), so no block decode ever grows a buffer.
+  if (!ctx.scratch_reserved) {
+    ctx.scratch.reserve(header.block_size, header.tokens_per_subblock,
+                        header.codec == Codec::kTans);
+    ctx.scratch_reserved = true;
+  }
+  const lz77::TokenBlock* tokens = nullptr;
+  {
+    obs::StageScope stage("entropy_decode", "decode", decode_obs().entropy_us);
+    if (header.codec == Codec::kBit) {
+      BitCodecConfig bit_config;
+      bit_config.tokens_per_subblock = header.tokens_per_subblock;
+      bit_config.codeword_limit = header.codeword_limit;
+      tokens = &decode_block_bit(payload, bit_config, ctx.scratch, lane_pool);
+    } else if (header.codec == Codec::kByte) {
+      tokens = &decode_block_byte(payload, ctx.scratch, lane_pool);
+    } else {
+      TansCodecConfig tans_config;
+      tans_config.tokens_per_subblock = header.tokens_per_subblock;
+      tokens = &decode_block_tans(payload, tans_config, ctx.scratch, lane_pool,
+                                  out.size());
+    }
+  }
+  check_corrupt(tokens->uncompressed_size == out.size(),
+                "decompress: block size mismatch");
+  return tokens;
+}
+
+void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc,
+                     MutableByteSpan out, bool verify_checksum,
+                     BlockDecodeContext& ctx, ThreadPool* lane_pool) try {
+  std::uint32_t stored_crc = 0;
+  const lz77::TokenBlock* tokens =
+      decode_block_tokens(header, payload_with_crc, out, ctx, lane_pool, stored_crc);
+  if (tokens == nullptr) {
     decode_obs().stored_blocks.add(1);
   } else {
-    check_corrupt(mode == kBlockModeCoded, "decompress: unknown block mode");
-    // Phase 1: token decode. Every codec decodes into the context's
-    // scratch arena — zero allocations once its buffers are warm — and
-    // optionally fans its independent sub-block lanes (record-array
-    // chunks for /Byte) out across `lane_pool`.
-    // Pre-size the arena on the context's first block (not eagerly —
-    // most pool participants never run when blocks are few), so no
-    // block decode ever grows a buffer.
-    if (!ctx.scratch_reserved) {
-      ctx.scratch.reserve(header.block_size, header.tokens_per_subblock,
-                          header.codec == Codec::kTans);
-      ctx.scratch_reserved = true;
-    }
-    const lz77::TokenBlock* tokens = nullptr;
-    {
-      obs::StageScope stage("entropy_decode", "decode",
-                            decode_obs().entropy_us);
-      if (header.codec == Codec::kBit) {
-        BitCodecConfig bit_config;
-        bit_config.tokens_per_subblock = header.tokens_per_subblock;
-        bit_config.codeword_limit = header.codeword_limit;
-        tokens = &decode_block_bit(payload, bit_config, ctx.scratch, lane_pool);
-      } else if (header.codec == Codec::kByte) {
-        tokens = &decode_block_byte(payload, ctx.scratch, lane_pool);
-      } else {
-        TansCodecConfig tans_config;
-        tans_config.tokens_per_subblock = header.tokens_per_subblock;
-        tokens = &decode_block_tans(payload, tans_config, ctx.scratch,
-                                    lane_pool, out.size());
-      }
-    }
-    check_corrupt(tokens->uncompressed_size == out.size(),
-                  "decompress: block size mismatch");
-
-    // Phase 2: LZ77 resolution, accumulating straight into the context's
-    // metrics (all WarpMetrics updates are additive). With a lane pool
-    // the block's warp groups are sharded across the pool's threads with
-    // a completed-watermark handoff (resolve_parallel.hpp); otherwise —
-    // and for blocks too small to shard — the serial warp simulator
-    // runs. The kMultiPass variant keeps its spill semantics regardless.
+    // Phase 2: LZ77 resolution. With a lane pool the block's sequences
+    // are sharded across the pool's threads with a completed-watermark
+    // handoff (resolve_parallel.hpp); otherwise — and for blocks too
+    // small to shard — the sequential kernel runs. Both bounds-check
+    // every sequence, and the byte count closes the block: a stream that
+    // stops short must not leave stale bytes behind even with the CRC off.
     obs::StageScope stage("resolve", "decode", decode_obs().resolve_us);
-    if (strategy == Strategy::kMultiPass) {
-      MultiPassStats block_multipass;
-      resolve_block_multipass(tokens->sequences, tokens->literals.data(),
-                              tokens->literals.size(), out, &block_multipass,
-                              &ctx.scratch.multipass_ws);
-      ctx.multipass.merge(block_multipass);
-    } else if (lane_pool != nullptr &&
-               resolve_block_sharded(tokens->sequences, tokens->literals.data(),
-                                     tokens->literals.size(), out, strategy,
-                                     ctx.scratch.resolve, *lane_pool, &ctx.metrics,
-                                     &ctx.scratch.stats.resolve_deferrals)) {
+    if (lane_pool != nullptr &&
+        resolve_block_sharded(tokens->sequences, tokens->literals.data(),
+                              tokens->literals.size(), out, ctx.scratch.resolve,
+                              *lane_pool, &ctx.scratch.stats.resolve_deferrals)) {
       ++ctx.scratch.stats.resolve_fanouts;
     } else {
-      resolve_block(tokens->sequences, tokens->literals.data(),
-                    tokens->literals.size(), out, strategy, &ctx.metrics);
+      const std::uint64_t written =
+          lz77::resolve_span(tokens->sequences, tokens->literals.data(),
+                             tokens->literals.size(), out, /*base=*/0);
+      check_corrupt(written == out.size(), "decompress: block size mismatch");
     }
   }
   decode_obs().blocks.add(1);

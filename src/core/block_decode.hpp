@@ -5,12 +5,17 @@
 // serve/decode_session.cpp) decode the same block payloads; this is the
 // one implementation both call. A block payload is what the per-block
 // size list delimits in Fig. 3: CRC32, mode byte, then the codec body.
+//
+// Decode is the paper's two phases: token decode (phase 1, one codec
+// per file) and LZ77 resolution (phase 2). Production resolves with one
+// kernel, lz77::resolve_span, or with the sharded resolver when a lane
+// pool is given. The paper's SC/MRR/DE warp strategies all write the
+// same bytes; they run in the simulator (sim/decompress.hpp), which
+// shares phase 1 through decode_block_tokens().
 #pragma once
 
 #include "core/decode_scratch.hpp"
-#include "core/mrr_multipass.hpp"
-#include "core/options.hpp"
-#include "simt/warp.hpp"
+#include "format/header.hpp"
 #include "util/common.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,30 +23,37 @@ namespace gompresso::core {
 
 /// Everything one decode participant (pool worker, serve prefetch task)
 /// mutates while decoding blocks. Contexts are private to a participant,
-/// so block decode needs no locks; accumulated metrics are merged by the
-/// owner once at the end.
+/// so block decode needs no locks; scratch.stats are merged by the owner
+/// once at the end.
 struct BlockDecodeContext {
-  simt::WarpMetrics metrics;
-  MultiPassStats multipass;
   DecodeScratch scratch;
   bool scratch_reserved = false;  // arena pre-sized on first block touched
 };
 
-/// Resolves the effective strategy for a file: auto picks kDependencyFree
-/// for DE-compressed files and kMultiRound otherwise; an explicit
-/// kDependencyFree request on a non-DE file throws.
-Strategy resolve_strategy(const DecompressOptions& options,
-                          const format::FileHeader& header);
+/// Phase 1 of a block decode. Parses the payload's CRC32 (into `crc`)
+/// and mode byte. A stored block is copied verbatim into `out` and the
+/// result is nullptr; a coded block's token stream is decoded into
+/// ctx.scratch and returned, its uncompressed size checked against
+/// out.size(). `lane_pool` optionally fans the decode out by sub-block
+/// lane (single-block files). Throws gompresso::Error on malformed input.
+const lz77::TokenBlock* decode_block_tokens(const format::FileHeader& header,
+                                            ByteSpan payload_with_crc,
+                                            MutableByteSpan out,
+                                            BlockDecodeContext& ctx,
+                                            ThreadPool* lane_pool,
+                                            std::uint32_t& crc);
 
 /// Decodes one block payload (CRC32 + mode byte + codec body, i.e. the
 /// byte range the header's size list assigns to the block) into `out`,
 /// which must be sized to the block's uncompressed length. `lane_pool`
 /// optionally fans both decode phases of the block out across a pool
 /// (single-block files): phase-1 token decode by sub-block lane, and
-/// phase-2 LZ77 resolution by warp-group shard with a completed-
-/// watermark handoff. Pass nullptr to stay on the calling thread.
+/// phase-2 LZ77 resolution by shard with a completed-watermark handoff.
+/// Pass nullptr to stay on the calling thread. Malformed data, including
+/// a token stream that writes fewer bytes than the block holds, throws
+/// CorruptionError whether or not `verify_checksum` is set.
 void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc,
-                     MutableByteSpan out, Strategy strategy, bool verify_checksum,
+                     MutableByteSpan out, bool verify_checksum,
                      BlockDecodeContext& ctx, ThreadPool* lane_pool = nullptr);
 
 }  // namespace gompresso::core

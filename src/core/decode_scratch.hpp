@@ -20,7 +20,6 @@
 
 #include "ans/tans.hpp"
 #include "core/decode_tables.hpp"
-#include "core/mrr_multipass.hpp"
 #include "core/resolve_parallel.hpp"
 #include "lz77/sequence.hpp"
 
@@ -97,8 +96,6 @@ struct DecodeScratch {
   ans::Model literal_model;
   /// Phase-2 shard plan + watermark state (sharded parallel resolution).
   ResolvePlan resolve;
-  /// Phase-2 worklists for the kMultiPass strategy.
-  MultiPassWorkspace multipass_ws;
   ScratchStats stats;
 
   /// Pre-sizes the buffers to the worst case any block of

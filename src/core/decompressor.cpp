@@ -13,8 +13,6 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
   // any block decode can trip over it.
   header.check_payload(file.size() - pos);
 
-  const Strategy strategy = core::resolve_strategy(options, header);
-
   // Locate every block payload from the size list (inter-block
   // parallelism needs no scanning, Fig. 3).
   const std::size_t num_blocks = header.num_blocks();
@@ -25,7 +23,6 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
   }
 
   DecompressResult result;
-  result.strategy_used = strategy;
   result.data.resize(static_cast<std::size_t>(header.uncompressed_size));
 
   auto decompress_one = [&](core::BlockDecodeContext& ctx, std::size_t b,
@@ -37,7 +34,7 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
         header.block_size, result.data.size() - out_begin);
     core::decode_block_at(header, payload_with_crc,
                           MutableByteSpan(result.data.data() + out_begin, out_len),
-                          strategy, options.verify_checksums, ctx, lane_pool);
+                          options.verify_checksums, ctx, lane_pool);
   };
 
   // Pick the thread plan (see the header comment).
@@ -71,14 +68,12 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
     // A single block cannot use inter-block parallelism at all: fan both
     // of its decode phases out across the pool instead — phase-1 token
     // decode by sub-block lane (every codec), then phase-2 LZ77
-    // resolution by warp-group shard with a completed-watermark handoff.
+    // resolution by shard with a completed-watermark handoff.
     workers.resize(1);
     decompress_one(workers[0], 0, pool);
   }
 
   for (const core::BlockDecodeContext& ctx : workers) {
-    result.metrics.merge(ctx.metrics);
-    result.multipass.merge(ctx.multipass);
     result.scratch.merge(ctx.scratch.stats);
   }
   return result;

@@ -12,15 +12,6 @@
 namespace gompresso {
 namespace {
 
-serve::BackendDecodeOptions backend_decode_options(
-    const serve::SessionOptions& s) {
-  serve::BackendDecodeOptions o;
-  o.verify_checksums = s.verify_checksums;
-  o.auto_strategy = s.auto_strategy;
-  o.strategy = s.strategy;
-  return o;
-}
-
 Bytes read_file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   check_io(in.good(), "open: cannot open sidecar");
@@ -64,7 +55,7 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
         index = serve::SeekIndex::build(source);
       }
       backend = serve::make_gmpz_backend(std::move(index),
-                                         backend_decode_options(options.session));
+                                         options.session.verify_checksums);
       break;
     }
     case format::ContainerKind::kGzip: {

@@ -10,38 +10,9 @@ namespace gompresso {
 
 using format::Codec;
 
-/// Back-reference resolution strategy for decompression (paper §IV, §V-A).
-enum class Strategy : std::uint8_t {
-  /// Sequential Copying: the baseline — back-references of a warp group
-  /// are copied one lane at a time, in order, with no intra-group
-  /// parallelism (§V-A).
-  kSequentialCopy = 0,
-  /// Multi-Round Resolution: iterative warp-synchronous resolution with
-  /// ballot/shfl and a high-water mark (Fig. 5).
-  kMultiRound = 1,
-  /// Dependency-free single-round resolution; requires a stream compressed
-  /// with dependency elimination (Fig. 7). One round per warp group.
-  kDependencyFree = 2,
-  /// The alternative MRR variant of §V-A: unresolved back-references are
-  /// spilled to a global worklist and later passes (separate "kernels")
-  /// resolve them, at the price of extra memory traffic.
-  kMultiPass = 3,
-};
-
 /// Per-block mode byte (follows the block's CRC32 in the payload).
 inline constexpr std::uint8_t kBlockModeCoded = 0;   // codec payload
 inline constexpr std::uint8_t kBlockModeStored = 1;  // verbatim bytes
-
-/// Human-readable strategy name (bench output).
-inline const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::kSequentialCopy: return "SC";
-    case Strategy::kMultiRound: return "MRR";
-    case Strategy::kDependencyFree: return "DE";
-    case Strategy::kMultiPass: return "MRR-multipass";
-  }
-  return "?";
-}
 
 /// Compression configuration. Defaults are the paper's §V settings:
 /// 256 KB blocks, 8 KB window, 64 B max match, 16 sequences per
@@ -77,13 +48,12 @@ struct CompressOptions {
   void validate() const;
 };
 
-/// Decompression configuration.
+/// Decompression configuration. There is no resolution-strategy knob:
+/// every strategy of the paper writes the same bytes, so production
+/// decode runs one LZ77 resolver (core/block_decode.hpp); the paper's
+/// SC/MRR/DE warp algorithms live in the simulator (sim/warp_lz77.hpp).
 struct DecompressOptions {
-  /// When true (default), picks kDependencyFree for DE-compressed files
-  /// and kMultiRound otherwise. When false, `strategy` is used as given
-  /// (selecting kDependencyFree for a non-DE file is rejected).
-  bool auto_strategy = true;
-  Strategy strategy = Strategy::kMultiRound;
+  /// Worker threads; 0 = shared default pool.
   std::size_t num_threads = 0;
   /// Verify per-block CRC32 of the decompressed output (on by default).
   bool verify_checksums = true;

@@ -1,25 +1,23 @@
 // Shared phase-2 resolution primitives.
 //
-// Three resolvers copy LZ77 back-references into a block's output window:
-// the serial warp simulator (core/warp_lz77.cpp), the multi-pass spill
-// variant (core/mrr_multipass.cpp), and the sharded thread-parallel
-// resolver (core/resolve_parallel.cpp). They share the overlap-safe copy
-// kernel, the spilled-reference record, and the warp-group availability
-// rules; this header is that common ground so the three stay bit-for-bit
-// agreeing on the tricky cases (RLE runs, same-group literal sources,
-// self-overlapping forward copies).
+// Every LZ77 resolver copies back-references into a block's output
+// window: the production kernels (lz77::resolve_span and the sharded
+// core/resolve_parallel.cpp) and the paper's warp simulator (sim/). They
+// share the overlap-safe copy kernel and the deferred-reference record;
+// this header is that common ground so they stay bit-for-bit agreeing on
+// the tricky cases (RLE runs, self-overlapping forward copies).
 #pragma once
 
 #include <algorithm>
 #include <cstring>
-#include <span>
 
 #include "util/common.hpp"
 
 namespace gompresso::core {
 
 /// One unresolved (deferred/spilled) back-reference. 16 bytes — for the
-/// multi-pass variant this is also the unit of its extra memory traffic.
+/// simulator's multi-pass variant this is also the unit of its extra
+/// memory traffic.
 struct PendingRef {
   std::uint64_t write_pos = 0;  // where the copy lands
   std::uint32_t dist = 0;
@@ -47,39 +45,6 @@ inline void copy_backref(std::uint8_t* out, std::uint64_t dst, std::uint64_t src
       copied += chunk;
     }
   }
-}
-
-/// True when [s, e) intersects the write region of any reference in
-/// `pending`. The list must be ordered by write position with disjoint
-/// intervals (both spill resolvers append in walk order), so a single
-/// partition_point suffices.
-inline bool intersects_pending(std::span<const PendingRef> pending, std::uint64_t s,
-                               std::uint64_t e) {
-  if (s >= e) return false;
-  const auto it = std::partition_point(
-      pending.begin(), pending.end(),
-      [&](const PendingRef& r) { return r.write_pos + r.len <= s; });
-  return it != pending.end() && it->write_pos < e;
-}
-
-/// Availability of the in-group part [max(src, group_base), src_end) of a
-/// source interval: literal intervals of the group (all written in the
-/// group's literal phase) plus the lane's own forward copy. The group's
-/// lanes are described by their literal intervals [own_start[j],
-/// write_pos[j]), ascending in j; bytes of the group outside those
-/// intervals are other lanes' back-reference output and are NOT available.
-inline bool group_part_available(const std::uint64_t* own_start,
-                                 const std::uint64_t* write_pos, unsigned lanes,
-                                 unsigned lane, std::uint64_t group_base,
-                                 std::uint64_t src, std::uint64_t src_end) {
-  std::uint64_t covered = std::max(src, group_base);
-  for (unsigned j = 0; j < lanes && covered < src_end; ++j) {
-    if (own_start[j] > covered) break;  // gap: covered byte is a match output
-    if (covered < write_pos[j]) covered = write_pos[j];
-  }
-  if (covered >= src_end) return true;
-  // Remaining bytes must be the lane's own output (self-overlap).
-  return covered >= own_start[lane];
 }
 
 }  // namespace gompresso::core

@@ -7,8 +7,6 @@
 namespace gompresso::core {
 namespace {
 
-using simt::kWarpSize;
-
 // Sharded-resolve metrics: blocks that actually fanned out, and how
 // many back-references each run pushed to the watermark-gated phase B.
 struct ResolveObs {
@@ -47,7 +45,7 @@ void await_watermark(ResolveSync& sync, std::uint64_t target) {
     // pairs-with: the release stores in publish_completion/publish_abort.
     seen = sync.watermark.load(std::memory_order_acquire);
   }
-  check(seen != kAbortedWatermark, "warp_lz77: shard resolution aborted");
+  check(seen != kAbortedWatermark, "resolve: shard resolution aborted");
 }
 
 /// Marks shard `s` complete and advances the watermark over the
@@ -161,15 +159,13 @@ bool chase_copy(MutableByteSpan out, std::span<const PendingRef> pending,
   return true;
 }
 
-/// Phase A: walk the shard's warp groups, write every literal string,
-/// copy each back-reference whose source is resolved within the shard,
-/// and defer the rest (ordered by write position) to `pending`.
+/// Phase A: walk the shard's sequences in order, write every literal
+/// string, copy each back-reference whose source is resolved within the
+/// shard, and defer the rest (ordered by write position) to `pending`.
 void resolve_shard_immediate(std::span<const lz77::Sequence> sequences,
                              const ResolveShard& shard, const std::uint8_t* literals,
-                             MutableByteSpan out, Strategy strategy,
-                             std::vector<PendingRef>& pending,
-                             std::vector<std::uint64_t>& dirty,
-                             simt::WarpMetrics& metrics) {
+                             MutableByteSpan out, std::vector<PendingRef>& pending,
+                             std::vector<std::uint64_t>& dirty) {
   std::uint64_t lit_cursor = shard.lit_base;
   std::uint64_t out_cursor = shard.out_base;
   // Chase-work allowance: about a hop per sequence keeps phase A linear
@@ -177,79 +173,42 @@ void resolve_shard_immediate(std::span<const lz77::Sequence> sequences,
   // below cuts chasing off early when the stream clearly will not pay.
   std::uint64_t chase_budget = shard.seq_end - shard.seq_begin;
   std::uint32_t chase_fails = 0;
-  for (std::uint64_t first = shard.seq_begin; first < shard.seq_end;
-       first += kWarpSize) {
-    const unsigned lanes =
-        static_cast<unsigned>(std::min<std::uint64_t>(kWarpSize, shard.seq_end - first));
-    const std::uint64_t group_base = out_cursor;
-
-    // Literal phase: all lanes write their strings (plan-stage totals
-    // bound the cursors, so these writes stay inside the shard's slice).
-    std::uint64_t own_start[kWarpSize];
-    std::uint64_t write_pos[kWarpSize];
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      const lz77::Sequence& seq = sequences[first + lane];
-      if (seq.literal_len != 0) {
-        std::memcpy(out.data() + out_cursor, literals + lit_cursor, seq.literal_len);
-      }
+  for (std::uint64_t i = shard.seq_begin; i < shard.seq_end; ++i) {
+    const lz77::Sequence& seq = sequences[i];
+    // Plan-stage totals bound the cursors, so these writes stay inside
+    // the shard's slice.
+    if (seq.literal_len != 0) {
+      std::memcpy(out.data() + out_cursor, literals + lit_cursor, seq.literal_len);
       lit_cursor += seq.literal_len;
-      own_start[lane] = out_cursor;
       out_cursor += seq.literal_len;
-      write_pos[lane] = out_cursor;
-      out_cursor += seq.match_len;
     }
-    metrics.shuffles += 2 * 5;  // the two lane scans
-
-    // Back-reference phase: copy or defer.
-    std::uint64_t bytes = 0;
-    std::uint64_t refs = 0;
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      const lz77::Sequence& seq = sequences[first + lane];
-      if (seq.match_len == 0) continue;
-      check(seq.match_dist >= 1 && seq.match_dist <= write_pos[lane],
-            "warp_lz77: back-reference past start of output");
-      const std::uint64_t src = write_pos[lane] - seq.match_dist;
-      const std::uint64_t src_end = src + seq.match_len;
-      if (strategy == Strategy::kDependencyFree) {
-        // Same validation as the serial DE resolver: the source may touch
-        // earlier groups' output and this group's literal regions, but
-        // never another lane's back-reference output (Fig. 7).
-        check(src_end <= group_base || src >= own_start[lane] ||
-                  group_part_available(own_start, write_pos, lanes, lane, group_base,
-                                       src, src_end),
-              "warp_lz77: DE strategy on a stream with intra-group dependencies");
-      }
-      // The shard's walk is sequential, so every in-shard byte below the
-      // write position is already written except the deferred regions:
-      // bitmap-clean sources memcpy immediately, dirty ones are chased
-      // through the redirection map, and only references whose origin
-      // (conservatively, by granule) crosses the shard base defer.
-      if (src >= shard.out_base &&
-          range_clean(dirty, shard.out_base, src, std::min(src_end, write_pos[lane]))) {
-        copy_backref(out.data(), write_pos[lane], src, seq.match_len);
-        bytes += seq.match_len;
-        ++refs;
-      } else if (chase_budget != 0 &&
-                 chase_copy(out, pending, dirty, shard.out_base, write_pos[lane], src,
-                            seq.match_len, chase_budget)) {
-        bytes += seq.match_len;
-        ++refs;
-      } else {
-        pending.push_back({write_pos[lane], seq.match_dist, seq.match_len});
-        mark_dirty(dirty, shard.out_base, write_pos[lane],
-                   write_pos[lane] + seq.match_len);
-        // Adaptive cut: a stream whose chases keep failing has deep
-        // chains everywhere — stop paying for probes that end in
-        // deferral anyway and fall back to bitmap-only deferral.
-        if (++chase_fails > 64) chase_budget = 0;
-      }
+    if (seq.match_len == 0) continue;
+    const std::uint64_t write_pos = out_cursor;
+    out_cursor += seq.match_len;
+    check(seq.match_dist >= 1 && seq.match_dist <= write_pos,
+          "resolve: back-reference past start of block");
+    const std::uint64_t src = write_pos - seq.match_dist;
+    // The shard's walk is sequential, so every in-shard byte below the
+    // write position is already written except the deferred regions:
+    // bitmap-clean sources copy immediately, dirty ones are chased
+    // through the redirection map, and only references whose origin
+    // (conservatively, by granule) crosses the shard base defer.
+    if (src >= shard.out_base &&
+        range_clean(dirty, shard.out_base, src,
+                    std::min<std::uint64_t>(src + seq.match_len, write_pos))) {
+      copy_backref(out.data(), write_pos, src, seq.match_len);
+    } else if (chase_budget == 0 ||
+               !chase_copy(out, pending, dirty, shard.out_base, write_pos, src,
+                           seq.match_len, chase_budget)) {
+      pending.push_back({write_pos, seq.match_dist, seq.match_len});
+      mark_dirty(dirty, shard.out_base, write_pos, write_pos + seq.match_len);
+      // Adaptive cut: a stream whose chases keep failing has deep
+      // chains everywhere — stop paying for probes that end in
+      // deferral anyway and fall back to bitmap-only deferral.
+      if (++chase_fails > 64) chase_budget = 0;
     }
-    ++metrics.groups;
-    ++metrics.rounds;
-    metrics.record_round(1, bytes, refs);
-    metrics.max_rounds_in_group = std::max<std::uint64_t>(metrics.max_rounds_in_group, 1);
   }
-  check(out_cursor == shard.out_end, "warp_lz77: shard output size mismatch");
+  check(out_cursor == shard.out_end, "resolve: shard output size mismatch");
 }
 
 /// Phase B: once every byte below the shard base is resolved, sweep the
@@ -259,17 +218,10 @@ void resolve_shard_immediate(std::span<const lz77::Sequence> sequences,
 /// time the sweep reaches it, so one pass suffices.
 void resolve_shard_deferred(const ResolveShard& shard,
                             std::span<const PendingRef> pending, MutableByteSpan out,
-                            ResolveSync& sync, simt::WarpMetrics& metrics) {
-  if (!pending.empty()) {
-    await_watermark(sync, shard.out_base);
-    std::uint64_t bytes = 0;
-    for (const PendingRef& ref : pending) {
-      copy_backref(out.data(), ref.write_pos, ref.write_pos - ref.dist, ref.len);
-      bytes += ref.len;
-    }
-    ++metrics.rounds;
-    metrics.record_round(2, bytes, pending.size());
-    metrics.max_rounds_in_group = std::max<std::uint64_t>(metrics.max_rounds_in_group, 2);
+                            ResolveSync& sync) {
+  await_watermark(sync, shard.out_base);
+  for (const PendingRef& ref : pending) {
+    copy_backref(out.data(), ref.write_pos, ref.write_pos - ref.dist, ref.len);
   }
 }
 
@@ -277,23 +229,18 @@ void resolve_shard_deferred(const ResolveShard& shard,
 
 bool resolve_block_sharded(std::span<const lz77::Sequence> sequences,
                            const std::uint8_t* literals, std::size_t literal_count,
-                           MutableByteSpan out, Strategy strategy, ResolvePlan& plan,
-                           ThreadPool& pool, simt::WarpMetrics* metrics,
+                           MutableByteSpan out, ResolvePlan& plan, ThreadPool& pool,
                            std::uint64_t* deferrals, const ResolveShardConfig& config) {
-  check(strategy != Strategy::kMultiPass,
-        "warp_lz77: kMultiPass is handled by mrr_multipass");
   const std::uint64_t n = sequences.size();
   const std::size_t participants = pool.parallelism();
   if (participants <= 1 || n == 0) return false;
 
   // Shard size: a few shards per participant for load balance, floored
-  // so tiny blocks do not pay the handoff overhead, rounded up to whole
-  // warp groups so shard boundaries coincide with group boundaries.
-  std::uint64_t per =
+  // so tiny blocks do not pay the handoff overhead.
+  const std::uint64_t per =
       std::max<std::uint64_t>(config.min_sequences_per_shard,
                               (n + participants * config.shards_per_participant - 1) /
                                   (participants * config.shards_per_participant));
-  per = (per + kWarpSize - 1) / kWarpSize * kWarpSize;
   const std::size_t n_shards = static_cast<std::size_t>((n + per - 1) / per);
   if (n_shards < 2) return false;
 
@@ -302,13 +249,11 @@ bool resolve_block_sharded(std::span<const lz77::Sequence> sequences,
   plan.shards.resize(n_shards);
   if (plan.shard_pending.size() < n_shards) plan.shard_pending.resize(n_shards);
   if (plan.shard_dirty.size() < n_shards) plan.shard_dirty.resize(n_shards);
-  if (plan.shard_metrics.size() < n_shards) plan.shard_metrics.resize(n_shards);
   if (plan.shard_done.size() < n_shards) plan.shard_done.resize(n_shards);
   if (!plan.sync) plan.sync = std::make_unique<ResolveSync>();
 
   // Plan: per-shard totals in parallel (stashed in the base fields),
-  // then one serial exclusive scan turns them into bases — the
-  // prepare_group running-sum discipline at shard granularity.
+  // then one serial exclusive scan turns them into bases.
   pool.parallel_for(n_shards, [&](std::size_t s) {
     ResolveShard& shard = plan.shards[s];
     shard.seq_begin = s * per;
@@ -336,8 +281,8 @@ bool resolve_block_sharded(std::span<const lz77::Sequence> sequences,
     shard.out_end = out_run;
   }
   // Validate the block bounds up front, before any thread writes a byte.
-  check(out_run == out.size(), "warp_lz77: output size mismatch");
-  check(lit_run == literal_count, "warp_lz77: literal count mismatch");
+  check(out_run == out.size(), "resolve: output size mismatch");
+  check(lit_run == literal_count, "resolve: literal count mismatch");
 
   ResolveSync& sync = *plan.sync;
   sync.watermark.store(0, std::memory_order_relaxed);
@@ -350,7 +295,6 @@ bool resolve_block_sharded(std::span<const lz77::Sequence> sequences,
   }
   for (std::size_t s = 0; s < n_shards; ++s) {
     plan.shard_done[s] = 0;
-    plan.shard_metrics[s].reset();
     plan.shard_pending[s].clear();
     const std::uint64_t span = plan.shards[s].out_end - plan.shards[s].out_base;
     plan.shard_dirty[s].assign(((span >> kDirtyShift) >> 6) + 1, 0);
@@ -364,14 +308,12 @@ bool resolve_block_sharded(std::span<const lz77::Sequence> sequences,
         // waits. Phase B below blocks on the completed watermark, so the
         // two spans expose exactly where a shard's time went.
         obs::TraceSpan span("resolve_shardA", "resolve");
-        resolve_shard_immediate(sequences, shard, literals, out, strategy,
-                                plan.shard_pending[s], plan.shard_dirty[s],
-                                plan.shard_metrics[s]);
+        resolve_shard_immediate(sequences, shard, literals, out,
+                                plan.shard_pending[s], plan.shard_dirty[s]);
       }
       if (!plan.shard_pending[s].empty()) {
         obs::TraceSpan span("resolve_shardB", "resolve");
-        resolve_shard_deferred(shard, plan.shard_pending[s], out, sync,
-                               plan.shard_metrics[s]);
+        resolve_shard_deferred(shard, plan.shard_pending[s], out, sync);
       }
       publish_completion(plan, s, out.size());
     } catch (...) {
@@ -381,10 +323,7 @@ bool resolve_block_sharded(std::span<const lz77::Sequence> sequences,
   });
 
   std::uint64_t deferred = 0;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    if (metrics) metrics->merge(plan.shard_metrics[s]);
-    deferred += plan.shard_pending[s].size();
-  }
+  for (std::size_t s = 0; s < n_shards; ++s) deferred += plan.shard_pending[s].size();
   if (deferrals) *deferrals += deferred;
   resolve_obs().sharded_blocks.add(1);
   resolve_obs().deferrals.add(deferred);

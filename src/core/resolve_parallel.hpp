@@ -7,20 +7,17 @@
 // module does the same for phase 2, the last serial stage of the decode
 // path:
 //
-//   * Plan. The sequence list is partitioned into warp-group-aligned
-//     shards and each shard's literal/output base is computed with an
-//     exclusive prefix sum over per-shard totals (the running-sum
-//     discipline of prepare_group, lifted to shard granularity). Totals
-//     are validated against the block bounds before any byte is written.
-//   * Phase A (fully concurrent). Every shard walks its warp groups like
-//     the serial resolver: literal strings first, then back-references.
+//   * Plan. The sequence list is partitioned into shards and each
+//     shard's literal/output base is computed with an exclusive prefix
+//     sum over per-shard totals. Totals are validated against the block
+//     bounds before any byte is written.
+//   * Phase A (fully concurrent). Every shard walks its sequences in
+//     order like lz77::resolve_span: literal string, then back-reference.
 //     A reference is copied immediately when its source is resolved
-//     *within the shard* — at or above the shard base, not overlapping
-//     the write region of an already-deferred reference, and satisfying
-//     the usual group rules (below the group base, a group literal
-//     interval, or the lane's own forward copy). Anything else — in
-//     particular any source reaching below the shard base — is deferred
-//     to the shard's pending list, ordered by write position.
+//     *within the shard* — at or above the shard base and not overlapping
+//     the write region of an already-deferred reference. Anything else —
+//     in particular any source reaching below the shard base — is
+//     deferred to the shard's pending list, ordered by write position.
 //   * Phase B (watermark handoff). A shard spins briefly and then parks
 //     on an atomic high-water mark that earlier shards publish as they
 //     complete; once the watermark reaches the shard's base (every byte
@@ -38,8 +35,7 @@
 // concurrently; the phase-B sweeps of truly cross-shard chains are
 // plain ordered memcpys that pipeline down the watermark chain, which
 // is the graceful-degradation path for deeply nested streams. Output
-// bytes are identical to the serial resolver for every strategy, and
-// the DE strategy still rejects streams with intra-group dependencies.
+// bytes are identical to lz77::resolve_span.
 #pragma once
 
 #include <atomic>
@@ -47,10 +43,8 @@
 #include <span>
 #include <vector>
 
-#include "core/options.hpp"
 #include "core/resolve_common.hpp"
 #include "lz77/sequence.hpp"
-#include "simt/warp.hpp"
 #include "util/common.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -64,12 +58,12 @@ namespace gompresso::core {
 /// Tests shrink min_sequences_per_shard to force many shards on small
 /// inputs.
 struct ResolveShardConfig {
-  std::uint32_t min_sequences_per_shard = 16384;  // rounded up to warp multiple
+  std::uint32_t min_sequences_per_shard = 16384;
   std::uint32_t shards_per_participant = 4;       // load-balance target
 };
 
-/// One shard of the plan: a warp-group-aligned sequence range plus the
-/// exclusive prefix sums locating its literals and output.
+/// One shard of the plan: a sequence range plus the exclusive prefix
+/// sums locating its literals and output.
 struct ResolveShard {
   std::uint64_t seq_begin = 0;
   std::uint64_t seq_end = 0;
@@ -94,7 +88,7 @@ struct ResolveSync {
 
 /// The arena-resident shard plan: grows to the high-water shard count of
 /// the blocks it has seen and then serves every block allocation-free
-/// (per-shard pending lists and metric vectors stay warm across blocks).
+/// (per-shard pending lists and dirty bitmaps stay warm across blocks).
 struct ResolvePlan {
   std::vector<ResolveShard> shards;
   std::vector<std::vector<PendingRef>> shard_pending;  // phase-B worklists
@@ -105,7 +99,6 @@ struct ResolvePlan {
   /// set bit is conservative — the budgeted chase consults the precise
   /// list.
   std::vector<std::vector<std::uint64_t>> shard_dirty;
-  std::vector<simt::WarpMetrics> shard_metrics;  // merged after the join
   std::vector<std::uint8_t> shard_done;          // guarded by sync->mutex
   std::unique_ptr<ResolveSync> sync;
 
@@ -116,28 +109,25 @@ struct ResolvePlan {
     shards.reserve(max_shards);
     shard_pending.reserve(max_shards);
     shard_dirty.reserve(max_shards);
-    shard_metrics.reserve(max_shards);
     shard_done.reserve(max_shards);
     if (!sync) sync = std::make_unique<ResolveSync>();
   }
 };
 
-/// Resolves all sequences of one block into `out` using the sharded
-/// concurrent resolver. Returns false — leaving `out` untouched — when
-/// the block is too small to shard or the pool has no spawned workers;
-/// the caller falls back to the serial resolve_block. kMultiPass is not
-/// handled here (its spill semantics are the point of that variant).
+/// Resolves all sequences of one block into `out` (sized to exactly the
+/// block's uncompressed size) using the sharded concurrent resolver.
+/// Returns false — leaving `out` untouched — when the block is too small
+/// to shard or the pool has no spawned workers; the caller falls back to
+/// lz77::resolve_span.
 ///
-/// On success `metrics` receives the per-shard warp metrics (phase-A
-/// copies recorded as round 1, phase-B deferrals as round 2) and
-/// `deferrals` (optional) the number of back-references that crossed to
-/// phase B. Throws gompresso::Error on malformed sequences, exactly like
-/// the serial resolver; a failing shard aborts the others' waits before
-/// the error is rethrown, so no thread is left parked.
+/// On success `deferrals` (optional) accumulates the number of
+/// back-references that crossed to phase B. Throws gompresso::Error on
+/// malformed sequences, exactly like resolve_span; a failing shard
+/// aborts the others' waits before the error is rethrown, so no thread
+/// is left parked.
 bool resolve_block_sharded(std::span<const lz77::Sequence> sequences,
                            const std::uint8_t* literals, std::size_t literal_count,
-                           MutableByteSpan out, Strategy strategy, ResolvePlan& plan,
-                           ThreadPool& pool, simt::WarpMetrics* metrics = nullptr,
+                           MutableByteSpan out, ResolvePlan& plan, ThreadPool& pool,
                            std::uint64_t* deferrals = nullptr,
                            const ResolveShardConfig& config = {});
 

@@ -36,8 +36,6 @@ std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
   OpenOptions oopt;
   oopt.session.num_threads = options.num_threads;
   oopt.session.verify_checksums = options.verify_checksums;
-  oopt.session.auto_strategy = options.auto_strategy;
-  oopt.session.strategy = options.strategy;
 
   const std::istream::pos_type base = in.tellg();
   std::unique_ptr<serve::DecodeSession> session =
@@ -143,7 +141,6 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
     // the block size absolutely; 1 GiB is far beyond any plausible
     // configuration (the CLI caps --block at the same bound).
     check(header.block_size <= (1u << 30), "stream: implausible block size");
-    const Strategy strategy = core::resolve_strategy(options, header);
     for (std::size_t b = 0; b < header.num_blocks(); b += batch) {
       const std::size_t n = std::min(batch, header.num_blocks() - b);
       for (std::size_t i = 0; i < n; ++i) {
@@ -175,7 +172,7 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
       const auto decode_one = [&](std::size_t worker, std::size_t i) {
         core::decode_block_at(header, comp[i],
                               MutableByteSpan(decoded[i].data(), decoded[i].size()),
-                              strategy, options.verify_checksums, ctxs[worker]);
+                              options.verify_checksums, ctxs[worker]);
       };
       if (n == 1 || pool == nullptr) {
         for (std::size_t i = 0; i < n; ++i) decode_one(0, i);

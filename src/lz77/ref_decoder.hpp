@@ -1,7 +1,9 @@
 // Sequential reference decoder for LZ77 token blocks.
 //
-// Used as the correctness oracle for the warp-parallel decompressors and
-// as the inner loop of the CPU baseline codecs.
+// resolve_span is production decode's LZ77 resolver (core::decode_block_at
+// runs it on every block that does not fan out across a pool), the
+// correctness oracle for the sharded resolver and the warp simulator,
+// and the inner loop of the CPU baseline codecs.
 #pragma once
 
 #include <span>
@@ -20,12 +22,13 @@ Bytes decode_reference(const TokenBlock& block);
 /// starting at absolute offset `base`. Literal strings and matches are
 /// written from window[base] onward; back-references may read any window
 /// byte below their write position, including [0, base) — the caller
-/// guarantees that prefix is already resolved. This is the oracle the
-/// sharded resolver's shards are checked against (resolve one shard's
-/// range at its output base over a window whose prefix is done), and
-/// what decode_reference runs over the whole block at base 0. Returns
-/// the number of bytes written. Throws gompresso::Error on malformed
-/// input (bounds are checked before every write).
+/// guarantees that prefix is already resolved. Production decode and
+/// decode_reference run it over a whole block at base 0; the sharded
+/// resolver's shards are checked against it at their output bases over
+/// a window whose prefix is done. Returns the number of bytes written
+/// (the caller compares it with the block size). Throws gompresso::Error
+/// on malformed input (every sequence is bounds-checked before it
+/// writes).
 std::uint64_t resolve_span(std::span<const Sequence> sequences,
                            const std::uint8_t* literals, std::size_t literal_count,
                            MutableByteSpan window, std::uint64_t base);

@@ -9,25 +9,13 @@ namespace gompresso::serve {
 namespace {
 
 /// Native-container backend: the GMPZ-specific half of the old
-/// DecodeSession decode task. Holds the SeekIndex, the per-segment
-/// strategy table, and a free list of BlockDecodeContext arenas shared
-/// by all concurrent decode_block() calls.
+/// DecodeSession decode task. Holds the SeekIndex and a free list of
+/// BlockDecodeContext arenas shared by all concurrent decode_block()
+/// calls.
 class GmpzBackend final : public ContainerBackend {
  public:
-  GmpzBackend(SeekIndex index, const BackendDecodeOptions& options)
-      : index_(std::move(index)), options_(options) {
-    // Per-segment strategy, resolved once: a stream may mix DE and
-    // non-DE segments, and an explicit DE request must be validated
-    // against every segment before the first decode.
-    DecompressOptions dopt;
-    dopt.auto_strategy = options_.auto_strategy;
-    dopt.strategy = options_.strategy;
-    segment_strategy_.reserve(index_.num_segments());
-    for (std::size_t s = 0; s < index_.num_segments(); ++s) {
-      segment_strategy_.push_back(
-          core::resolve_strategy(dopt, index_.segment_header(s)));
-    }
-  }
+  GmpzBackend(SeekIndex index, bool verify_checksums)
+      : index_(std::move(index)), verify_checksums_(verify_checksums) {}
 
   const char* kind_name() const override {
     return index_.is_stream() ? "gmps" : "gmpz";
@@ -59,9 +47,7 @@ class GmpzBackend final : public ContainerBackend {
     std::unique_ptr<core::BlockDecodeContext> ctx = pop_context();
     try {
       core::decode_block_at(index_.segment_header(e.segment), comp.cspan(), out,
-                            segment_strategy_[e.segment],
-                            options_.verify_checksums, *ctx,
-                            /*lane_pool=*/nullptr);
+                            verify_checksums_, *ctx, /*lane_pool=*/nullptr);
     } catch (...) {
       push_context(std::move(ctx));
       throw;
@@ -89,8 +75,7 @@ class GmpzBackend final : public ContainerBackend {
   }
 
   const SeekIndex index_;
-  const BackendDecodeOptions options_;
-  std::vector<Strategy> segment_strategy_;
+  const bool verify_checksums_;
 
   util::Mutex mutex_;
   std::vector<std::unique_ptr<core::BlockDecodeContext>> free_contexts_
@@ -99,9 +84,9 @@ class GmpzBackend final : public ContainerBackend {
 
 }  // namespace
 
-std::shared_ptr<ContainerBackend> make_gmpz_backend(
-    SeekIndex index, const BackendDecodeOptions& options) {
-  return std::make_shared<GmpzBackend>(std::move(index), options);
+std::shared_ptr<ContainerBackend> make_gmpz_backend(SeekIndex index,
+                                                    bool verify_checksums) {
+  return std::make_shared<GmpzBackend>(std::move(index), verify_checksums);
 }
 
 }  // namespace gompresso::serve

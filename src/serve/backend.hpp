@@ -28,7 +28,6 @@
 #include <cstddef>
 #include <memory>
 
-#include "core/options.hpp"
 #include "serve/byte_source.hpp"
 #include "serve/seek_index.hpp"
 #include "util/buffer_pool.hpp"
@@ -45,16 +44,6 @@ struct BackendBlock {
   std::uint64_t uncomp_size = 0;
   std::uint64_t comp_offset = 0;
   std::uint64_t comp_size = 0;
-};
-
-/// Decode-time knobs a backend captures at construction (immutable, so
-/// sharing a backend across sessions cannot race a reconfiguration).
-struct BackendDecodeOptions {
-  bool verify_checksums = true;
-  /// Strategy selection for the native codec path, as in
-  /// DecompressOptions (ignored by foreign-format backends).
-  bool auto_strategy = true;
-  Strategy strategy = Strategy::kMultiRound;
 };
 
 class ContainerBackend {
@@ -98,10 +87,10 @@ class ContainerBackend {
 };
 
 /// The native GMPZ/GMPS backend: SeekIndex block table + fused-table
-/// block decode with per-segment strategy resolution (throws on an
-/// explicit strategy no segment supports, exactly as the session's old
-/// constructor did).
-std::shared_ptr<ContainerBackend> make_gmpz_backend(
-    SeekIndex index, const BackendDecodeOptions& options = {});
+/// block decode (core::decode_block_at). `verify_checksums` is captured
+/// at construction — backends are immutable, so sharing one across
+/// sessions cannot race a reconfiguration.
+std::shared_ptr<ContainerBackend> make_gmpz_backend(SeekIndex index,
+                                                    bool verify_checksums = true);
 
 }  // namespace gompresso::serve

@@ -54,16 +54,6 @@ void bump(std::atomic<std::uint64_t>& local, const obs::Counter& global,
   global.add(n);
 }
 
-/// Decode knobs the deprecated native-container constructors forward
-/// from their SessionOptions into the backend they build.
-BackendDecodeOptions backend_decode_options(const SessionOptions& options) {
-  BackendDecodeOptions d;
-  d.verify_checksums = options.verify_checksums;
-  d.auto_strategy = options.auto_strategy;
-  d.strategy = options.strategy;
-  return d;
-}
-
 }  // namespace
 
 std::uint64_t RetryPolicy::jittered_backoff_us(std::size_t attempt,
@@ -92,26 +82,6 @@ DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source,
       backend_(std::move(backend)),
       options_(options) {
   check(backend_ != nullptr, "serve: null container backend");
-  check_format(backend_->source_size() == source_->size(),
-               "serve: seek index does not match the source (rebuild it)");
-  init();
-}
-
-DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source,
-                             SessionOptions options)
-    : source_(std::move(source)),
-      backend_(make_gmpz_backend(SeekIndex::build(*source_),
-                                 backend_decode_options(options))),
-      options_(options) {
-  init();
-}
-
-DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source, SeekIndex index,
-                             SessionOptions options)
-    : source_(std::move(source)),
-      backend_(make_gmpz_backend(std::move(index),
-                                 backend_decode_options(options))),
-      options_(options) {
   check_format(backend_->source_size() == source_->size(),
                "serve: seek index does not match the source (rebuild it)");
   init();

@@ -40,7 +40,6 @@
 
 #include "serve/backend.hpp"
 #include "serve/byte_source.hpp"
-#include "serve/seek_index.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -103,11 +102,9 @@ struct SessionOptions {
   /// Worker threads for the prefetch pipeline; 0 = shared default pool,
   /// 1 = decode inline on the calling thread.
   std::size_t num_threads = 0;
+  /// Verify each block's CRC32. Read by gompresso::open() when it builds
+  /// the native backend; a backend passed in directly carries its own.
   bool verify_checksums = true;
-  /// Strategy selection, as in DecompressOptions (auto picks DE for
-  /// DE-compressed segments).
-  bool auto_strategy = true;
-  Strategy strategy = Strategy::kMultiRound;
   /// Transient-failure retry discipline for source reads + block decode.
   RetryPolicy retry;
   /// Test seam: replaces the real backoff sleep. Called with the backoff
@@ -178,19 +175,6 @@ class DecodeSession {
                 std::shared_ptr<ContainerBackend> backend,
                 SessionOptions options = {});
 
-  /// Deprecated shim (native containers only): scans `source` and
-  /// builds a GMPZ backend from the session options. Prefer
-  /// gompresso::open(), which also handles foreign formats and
-  /// sidecars; kept so existing callers compile unchanged.
-  explicit DecodeSession(std::unique_ptr<ByteSource> source,
-                         SessionOptions options = {});
-
-  /// Deprecated shim (native containers only): wraps a pre-built
-  /// SeekIndex (e.g. SeekIndex::load()) in a GMPZ backend. Prefer
-  /// gompresso::open() with OpenOptions::sidecar_path.
-  DecodeSession(std::unique_ptr<ByteSource> source, SeekIndex index,
-                SessionOptions options = {});
-
   /// Blocks until every in-flight prefetch task has finished.
   ~DecodeSession();
 
@@ -241,17 +225,9 @@ class DecodeSession {
   BackendBlock block_extent(std::size_t b) const { return backend_->block(b); }
   std::uint64_t compressed_end() const { return backend_->compressed_end(); }
 
+  /// The container backend; backend().seek_index() is the native
+  /// SeekIndex of a GMPZ/GMPS session (nullptr for foreign formats).
   const ContainerBackend& backend() const { return *backend_; }
-
-  /// Native SeekIndex accessor — valid only for GMPZ/GMPS-backed
-  /// sessions (throws for foreign-format backends). Prefer the
-  /// backend-neutral accessors above; kept for sidecar workflows and
-  /// existing callers.
-  const SeekIndex& index() const {
-    const SeekIndex* idx = backend_->seek_index();
-    check(idx != nullptr, "serve: session backend has no native seek index");
-    return *idx;
-  }
 
   /// Coherent snapshot of the session's counters. Each field is an
   /// atomic relaxed load — no lock, so readers and decode tasks are

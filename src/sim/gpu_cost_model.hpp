@@ -23,11 +23,12 @@
 #include <cstdint>
 
 #include "core/options.hpp"
+#include "sim/warp_lz77.hpp"
 #include "sim/pcie_model.hpp"
 
 namespace gompresso::sim {
 
-/// Work counts describing one decompression run (from DecompressResult).
+/// Work counts describing one decompression run (from sim::SimResult).
 struct RunProfile {
   std::uint64_t uncompressed_bytes = 0;
   std::uint64_t compressed_bytes = 0;

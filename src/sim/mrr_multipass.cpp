@@ -1,13 +1,32 @@
-#include "core/mrr_multipass.hpp"
+#include "sim/mrr_multipass.hpp"
 
 #include <algorithm>
 #include <cstring>
 #include <vector>
 
-#include "core/resolve_common.hpp"
+#include "sim/warp_lz77.hpp"
 #include "simt/warp.hpp"
 
-namespace gompresso::core {
+namespace gompresso::sim {
+namespace {
+
+using core::copy_backref;
+using core::PendingRef;
+
+/// True when [s, e) intersects the write region of any reference in
+/// `pending`. The list must be ordered by write position with disjoint
+/// intervals (pass 0 appends in walk order), so a single
+/// partition_point suffices.
+bool intersects_pending(std::span<const PendingRef> pending, std::uint64_t s,
+                        std::uint64_t e) {
+  if (s >= e) return false;
+  const auto it = std::partition_point(
+      pending.begin(), pending.end(),
+      [&](const PendingRef& r) { return r.write_pos + r.len <= s; });
+  return it != pending.end() && it->write_pos < e;
+}
+
+}  // namespace
 
 void resolve_block_multipass(std::span<const lz77::Sequence> sequences,
                              const std::uint8_t* literals, std::size_t literal_count,
@@ -132,4 +151,4 @@ void resolve_block_multipass(std::span<const lz77::Sequence> sequences,
   }
 }
 
-}  // namespace gompresso::core
+}  // namespace gompresso::sim

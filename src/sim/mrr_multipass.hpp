@@ -23,10 +23,9 @@
 
 #include "core/resolve_common.hpp"
 #include "lz77/sequence.hpp"
-#include "simt/warp.hpp"
 #include "util/common.hpp"
 
-namespace gompresso::core {
+namespace gompresso::sim {
 
 /// Costs of the spill-based variant.
 struct MultiPassStats {
@@ -45,8 +44,8 @@ struct MultiPassStats {
 /// that resolves many blocks keeps one workspace so the steady-state
 /// block loop allocates nothing; the semantics are unchanged.
 struct MultiPassWorkspace {
-  std::vector<PendingRef> pending;
-  std::vector<PendingRef> next;
+  std::vector<core::PendingRef> pending;
+  std::vector<core::PendingRef> next;
 };
 
 /// Resolves all sequences of one block into `out` using the multi-pass
@@ -57,4 +56,4 @@ void resolve_block_multipass(std::span<const lz77::Sequence> sequences,
                              MutableByteSpan out, MultiPassStats* stats = nullptr,
                              MultiPassWorkspace* workspace = nullptr);
 
-}  // namespace gompresso::core
+}  // namespace gompresso::sim

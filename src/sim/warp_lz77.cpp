@@ -1,13 +1,14 @@
-#include "core/warp_lz77.hpp"
+#include "sim/warp_lz77.hpp"
 
 #include <algorithm>
 #include <cstring>
 
 #include "core/resolve_common.hpp"
 
-namespace gompresso::core {
+namespace gompresso::sim {
 namespace {
 
+using core::copy_backref;
 using simt::kWarpSize;
 using simt::LaneArray;
 using simt::LaneMask;
@@ -226,4 +227,4 @@ void resolve_block(std::span<const lz77::Sequence> sequences,
   check(literal_base == literal_count, "warp_lz77: literal count mismatch");
 }
 
-}  // namespace gompresso::core
+}  // namespace gompresso::sim

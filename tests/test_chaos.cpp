@@ -24,6 +24,7 @@
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
 #include "fuzz_budget.hpp"
+#include "gmpz_session.hpp"
 #include "net/http.hpp"
 #include "net/server.hpp"
 #include "serve/fault_source.hpp"
@@ -60,7 +61,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
       opt.max_inflight_blocks = 4;
       opt.cache_blocks = 4;  // small cache forces re-decodes (fresh faults)
       opt.sleep_hook = [](std::uint64_t) {};  // backoff without wall time
-      DecodeSession session(std::move(faulty), opt);
+      DecodeSession session = test::gmpz_session(std::move(faulty), opt);
 
       // Armed after the scan; burst 2 < max_attempts 3 makes absorption
       // a certainty, not a probability.
@@ -168,7 +169,7 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
           std::make_unique<serve::FaultInjectingByteSource>(
               serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
               std::move(plan)),
-          serve::SeekIndex(index), opt);
+          serve::make_gmpz_backend(serve::SeekIndex(index)), opt);
 
       // Zero-filling compressed bytes can, rarely, reproduce a block
       // that still decodes (e.g. zeroing bytes that were already zero).

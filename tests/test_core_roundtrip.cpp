@@ -1,10 +1,14 @@
 // Parameterized end-to-end round-trip sweep over the compressor's
 // configuration space (codec x DE x block size x window x sub-block size
-// x CWL) and datasets, plus option validation.
+// x CWL) and datasets, plus option validation. The sweep also checks that
+// every decoder — production decompress() serial, block-parallel and
+// sharded, open() sessions, and the warp simulator under each strategy —
+// writes the same bytes.
 #include <gtest/gtest.h>
 
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
+#include "sim/decompress.hpp"
 
 namespace gompresso {
 namespace {
@@ -15,6 +19,44 @@ Bytes dataset(int which, std::size_t n) {
     case 1: return datagen::matrix(n);
     case 2: return datagen::random_bytes(n);
     default: return Bytes(n, 'd');
+  }
+}
+
+/// Every decoder must reproduce `input` from `file` (compressed with
+/// `opt`): production decompress() at 1 and 4 threads, the same input as
+/// one block at 4 threads (the sharded resolver; it shards whenever the
+/// block has enough sequences, as wikipedia text does), open() + read(),
+/// and sim::decompress under every strategy the stream admits.
+void expect_decoders_agree(const Bytes& input, const Bytes& file, CompressOptions opt,
+                           bool expect_sharded) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    DecompressOptions dopt;
+    dopt.num_threads = threads;
+    EXPECT_EQ(decompress(file, dopt).data, input) << "threads=" << threads;
+  }
+  opt.block_size = 512 * 1024;  // > input: exactly one block
+  const Bytes single = compress(input, opt);
+  DecompressOptions four;
+  four.num_threads = 4;
+  const DecompressResult sharded = decompress(single, four);
+  EXPECT_EQ(sharded.data, input) << "single block";
+  if (expect_sharded) EXPECT_EQ(sharded.scratch.resolve_fanouts, 1u);
+
+  const auto session = gompresso::open(serve::memory_source(file));
+  Bytes got(input.size() + 1);
+  std::size_t off = 0;
+  while (const std::size_t n =
+             session->read(MutableByteSpan(got.data() + off, got.size() - off))) {
+    off += n;
+  }
+  got.resize(off);
+  EXPECT_EQ(got, input) << "open() + read()";
+
+  for (const sim::Strategy s :
+       {sim::Strategy::kSequentialCopy, sim::Strategy::kMultiRound,
+        sim::Strategy::kMultiPass, sim::Strategy::kDependencyFree}) {
+    if (s == sim::Strategy::kDependencyFree && !opt.dependency_elimination) continue;
+    EXPECT_EQ(sim::decompress(file, s).data, input) << sim::strategy_name(s);
   }
 }
 
@@ -38,13 +80,16 @@ TEST_P(RoundTripSweep, CompressDecompress) {
 
   const DecompressResult result = decompress(file);
   EXPECT_EQ(result.data, input);
-  EXPECT_EQ(result.strategy_used,
-            de ? Strategy::kDependencyFree : Strategy::kMultiRound);
+  // Block and sub-block sizes only shape phase 1, which every decoder
+  // shares, so one slice of the sweep carries the equivalence check.
+  if (block_size == 32u * 1024u && tokens_per_subblock == 16u) {
+    expect_decoders_agree(input, file, opt, /*expect_sharded=*/which == 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ConfigSpace, RoundTripSweep,
-    ::testing::Combine(::testing::Values(Codec::kByte, Codec::kBit),
+    ::testing::Combine(::testing::Values(Codec::kByte, Codec::kBit, Codec::kTans),
                        ::testing::Bool(),
                        ::testing::Values(32u * 1024u, 256u * 1024u),
                        ::testing::Values(4u, 16u, 64u),
@@ -164,21 +209,20 @@ TEST(Options, ValidationRejectsBadConfigs) {
 }
 
 TEST(Options, DeStrategyOnNonDeFileRejected) {
+  // The simulator refuses the single-round DE resolver on a stream that
+  // may hold intra-group dependencies.
   const Bytes input = dataset(0, 50000);
   CompressOptions opt;
   opt.dependency_elimination = false;
   const Bytes file = compress(input, opt);
-  DecompressOptions dopt;
-  dopt.auto_strategy = false;
-  dopt.strategy = Strategy::kDependencyFree;
-  EXPECT_THROW(decompress(file, dopt), Error);
+  EXPECT_THROW(sim::decompress(file, sim::Strategy::kDependencyFree), Error);
 }
 
 TEST(Options, StrategyNames) {
-  EXPECT_STREQ(strategy_name(Strategy::kSequentialCopy), "SC");
-  EXPECT_STREQ(strategy_name(Strategy::kMultiRound), "MRR");
-  EXPECT_STREQ(strategy_name(Strategy::kDependencyFree), "DE");
-  EXPECT_STREQ(strategy_name(Strategy::kMultiPass), "MRR-multipass");
+  EXPECT_STREQ(sim::strategy_name(sim::Strategy::kSequentialCopy), "SC");
+  EXPECT_STREQ(sim::strategy_name(sim::Strategy::kMultiRound), "MRR");
+  EXPECT_STREQ(sim::strategy_name(sim::Strategy::kDependencyFree), "DE");
+  EXPECT_STREQ(sim::strategy_name(sim::Strategy::kMultiPass), "MRR-multipass");
 }
 
 TEST(IntraBlock, SingleBlockScalesAcrossSubblocks) {
@@ -312,7 +356,8 @@ TEST(Metrics, DecompressionReportsWarpActivity) {
   CompressOptions opt;
   opt.dependency_elimination = false;
   const Bytes file = compress(input, opt);
-  const DecompressResult r = decompress(file);
+  const sim::SimResult r = sim::decompress(file, sim::Strategy::kMultiRound);
+  EXPECT_EQ(r.data, input);
   EXPECT_GT(r.metrics.groups, 0u);
   EXPECT_GE(r.metrics.rounds, r.metrics.groups);
   EXPECT_GT(r.metrics.ballots, 0u);

@@ -13,6 +13,7 @@
 
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
+#include "gmpz_session.hpp"
 #include "serve/fault_source.hpp"
 
 namespace gompresso {
@@ -252,8 +253,8 @@ TEST(ErrorTaxonomy, CrcMismatchIsCorruptionError) {
   f.file[f.file.size() / 2] ^= 0x40;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  DecodeSession session = test::gmpz_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
   Bytes buf(f.input.size());
   EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
                CorruptionError);
@@ -283,7 +284,8 @@ TEST(ErrorTaxonomy, FileTruncatedAfterOpenIsIoError) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.retry.max_attempts = 1;  // surface the IoError, not its retries
-  DecodeSession session(serve::open_file_source(path), opt);  // scan succeeds
+  DecodeSession session =
+      test::gmpz_session(serve::open_file_source(path), opt);  // scan succeeds
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);  // shrink to 0
   }
@@ -406,7 +408,7 @@ TEST(DecodeSession, JitteredRetrySleepsStayInBandAndAbsorbFaults) {
   serve::SessionOptions opt;
   opt.num_threads = 1;  // default jitter = 0.25 stays on
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  DecodeSession session = test::gmpz_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(2));
   Bytes buf(1000);
@@ -429,7 +431,7 @@ TEST(DecodeSession, RetryAbsorbsTransientFaults) {
   opt.num_threads = 1;
   opt.retry.jitter = 0;  // exact ladder for this test
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  DecodeSession session = test::gmpz_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(2));  // < max_attempts = 3
   Bytes buf(1000);
@@ -455,7 +457,7 @@ TEST(DecodeSession, RetryExhaustionSurfacesIoErrorAndHealthStaysUnknown) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  DecodeSession session = test::gmpz_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(3));  // == max_attempts
   Bytes buf(1000);
@@ -484,7 +486,7 @@ TEST(DecodeSession, DeadlineCapsCumulativeBackoff) {
   opt.retry.jitter = 0;         // exact ladder for the deadline arithmetic
   opt.retry.deadline_us = 600;  // allows the 500us sleep, not 500 + 1000
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(std::move(faulty), opt);
+  DecodeSession session = test::gmpz_session(std::move(faulty), opt);
 
   handle->inject(serve::FaultSpec::transient_any(5));
   Bytes buf(1000);
@@ -501,8 +503,8 @@ TEST(DecodeSession, PermanentErrorsAreNeverRetried) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  DecodeSession session = test::gmpz_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
   Bytes buf(f.input.size());
   EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
                CorruptionError);
@@ -518,8 +520,8 @@ TEST(DecodeSession, BestEffortReadZeroFillsExactlyTheDamagedBlock) {
   f.file[f.file.size() / 2] ^= 0x40;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  DecodeSession session = test::gmpz_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
 
   Bytes got(f.input.size());
   serve::DamageReport report;
@@ -563,14 +565,14 @@ TEST(DecodeSession, VerifyArchiveReportsPerBlockHealth) {
   f.file[f.file.size() / 2] ^= 0x40;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  DecodeSession session = test::gmpz_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
 
   const serve::DamageReport report = session.verify_archive();
   ASSERT_FALSE(report.clean());
   const std::size_t bad = report.extents.front().block;
   std::size_t damaged_blocks = 0;
-  for (std::size_t b = 0; b < session.index().num_blocks(); ++b) {
+  for (std::size_t b = 0; b < session.num_blocks(); ++b) {
     const serve::BlockHealth h = session.block_health(b);
     if (h == serve::BlockHealth::kDamaged) {
       ++damaged_blocks;
@@ -580,17 +582,17 @@ TEST(DecodeSession, VerifyArchiveReportsPerBlockHealth) {
     }
   }
   EXPECT_EQ(damaged_blocks, 1u);
-  EXPECT_EQ(report.damaged_bytes(), session.index().block(bad).uncomp_size);
+  EXPECT_EQ(report.damaged_bytes(), session.block_extent(bad).uncomp_size);
 }
 
 TEST(DecodeSession, CleanArchiveVerifiesClean) {
   const Fixture f;
   serve::SessionOptions opt;
   opt.num_threads = 1;
-  DecodeSession session(serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
-                        opt);
+  DecodeSession session = test::gmpz_session(
+      serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
   EXPECT_TRUE(session.verify_archive().clean());
-  for (std::size_t b = 0; b < session.index().num_blocks(); ++b) {
+  for (std::size_t b = 0; b < session.num_blocks(); ++b) {
     EXPECT_EQ(session.block_health(b), serve::BlockHealth::kGood);
   }
   EXPECT_EQ(session.stats().bytes_zero_filled, 0u);
@@ -603,12 +605,12 @@ TEST(DecodeSession, BestEffortDegradesExhaustedTransientsWithoutMarkingDamage) {
   serve::SessionOptions opt;
   opt.num_threads = 1;
   opt.retry.max_attempts = 1;
-  DecodeSession session(std::move(faulty), opt);
-  const std::size_t block0_size = session.index().block(0).uncomp_size;
+  DecodeSession session = test::gmpz_session(std::move(faulty), opt);
+  const std::size_t block0_size = session.block_extent(0).uncomp_size;
 
   // Enough failures that the first tolerant read degrades block 0...
   handle->inject(
-      serve::FaultSpec::transient_at(session.index().block(0).comp_offset, 1));
+      serve::FaultSpec::transient_at(session.block_extent(0).comp_offset, 1));
   Bytes got(block0_size);
   serve::DamageReport report;
   ASSERT_EQ(session.read_at_damage_tolerant(

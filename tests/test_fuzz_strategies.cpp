@@ -4,8 +4,8 @@
 
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
-#include "core/mrr_multipass.hpp"
-#include "core/warp_lz77.hpp"
+#include "sim/mrr_multipass.hpp"
+#include "sim/warp_lz77.hpp"
 #include "lz77/ref_decoder.hpp"
 #include "util/rng.hpp"
 
@@ -55,14 +55,15 @@ TEST_P(StrategyFuzz, AllStrategiesMatchReference) {
     lz77::validate(tokens);
     const Bytes expect = lz77::decode_reference(tokens);
 
-    for (const Strategy s : {Strategy::kSequentialCopy, Strategy::kMultiRound}) {
+    for (const sim::Strategy s :
+         {sim::Strategy::kSequentialCopy, sim::Strategy::kMultiRound}) {
       Bytes out(tokens.uncompressed_size);
-      core::resolve_block(tokens.sequences, tokens.literals.data(),
+      sim::resolve_block(tokens.sequences, tokens.literals.data(),
                           tokens.literals.size(), out, s);
-      ASSERT_EQ(out, expect) << strategy_name(s) << " trial " << trial;
+      ASSERT_EQ(out, expect) << sim::strategy_name(s) << " trial " << trial;
     }
     Bytes out(tokens.uncompressed_size);
-    core::resolve_block_multipass(tokens.sequences, tokens.literals.data(),
+    sim::resolve_block_multipass(tokens.sequences, tokens.literals.data(),
                                   tokens.literals.size(), out);
     ASSERT_EQ(out, expect) << "multipass trial " << trial;
   }

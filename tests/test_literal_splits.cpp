@@ -7,6 +7,7 @@
 #include "datagen/datasets.hpp"
 #include "lz77/parser.hpp"
 #include "lz77/ref_decoder.hpp"
+#include "sim/decompress.hpp"
 
 namespace gompresso {
 namespace {
@@ -51,10 +52,8 @@ TEST(LiteralSplits, SplitSequencesCountTowardDeGroups) {
   opt.codec = Codec::kByte;
   opt.dependency_elimination = true;
   const Bytes file = compress(input, opt);
-  DecompressOptions dopt;
-  dopt.auto_strategy = false;
-  dopt.strategy = Strategy::kDependencyFree;  // throws on any intra-group dep
-  EXPECT_EQ(decompress(file, dopt).data, input);
+  // The simulator's DE resolver throws on any intra-group dependency.
+  EXPECT_EQ(sim::decompress(file, sim::Strategy::kDependencyFree).data, input);
 }
 
 TEST(LiteralSplits, ByteCodecOnPurelyIncompressibleData) {

@@ -410,18 +410,18 @@ TEST(Trace, SessionSpansReconcileWithBlocksDecoded) {
 
   std::uint64_t blocks_decoded = 0;
   {
-    auto session = DecodeSession(serve::memory_source(file));
+    auto session = gompresso::open(serve::memory_source(file));
     Bytes got(input.size());
     std::size_t off = 0, n = 0;
     Bytes chunk(64 * 1024);
-    while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
+    while ((n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
       std::copy(chunk.begin(), chunk.begin() + static_cast<std::ptrdiff_t>(n),
                 got.begin() + static_cast<std::ptrdiff_t>(off));
       off += n;
     }
     EXPECT_EQ(off, input.size());
     EXPECT_EQ(got, input);
-    const serve::SessionStats st = session.stats();
+    const serve::SessionStats st = session->stats();
     blocks_decoded = st.blocks_decoded;
     EXPECT_EQ(st.decode_failures, 0u);
   }  // session dtor joins in-flight prefetch before we stop the tracer
@@ -476,13 +476,13 @@ TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
   CompressOptions copt;
   copt.block_size = 16 * 1024;
   const Bytes file = compress(input, copt);
-  auto session = DecodeSession(serve::memory_source(file));
+  auto session = gompresso::open(serve::memory_source(file));
 
   std::atomic<bool> done{false};
   std::thread poller([&] {
     serve::SessionStats last;
     while (!done.load(std::memory_order_relaxed)) {
-      const serve::SessionStats st = session.stats();
+      const serve::SessionStats st = session->stats();
       EXPECT_GE(st.blocks_decoded, last.blocks_decoded);
       EXPECT_GE(st.bytes_delivered, last.bytes_delivered);
       EXPECT_GE(st.cache_hits, last.cache_hits);
@@ -504,7 +504,7 @@ TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
         const std::size_t off = static_cast<std::size_t>((r * 131 + i * 977) * 97) %
                                 input.size();
         const std::size_t n =
-            session.read_at(off, MutableByteSpan(buf.data(), buf.size()));
+            session->read_at(off, MutableByteSpan(buf.data(), buf.size()));
         const std::size_t want = std::min<std::size_t>(buf.size(), input.size() - off);
         EXPECT_EQ(n, want);
       }
@@ -515,7 +515,7 @@ TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
   poller.join();
   snapshotter.join();
 
-  const serve::SessionStats st = session.stats();
+  const serve::SessionStats st = session->stats();
   EXPECT_GT(st.blocks_decoded, 0u);
   EXPECT_GT(st.bytes_delivered, 0u);
 }

@@ -1,14 +1,17 @@
 // Tests that reproduce the paper's worked examples literally.
 #include <gtest/gtest.h>
 
-#include "core/mrr_multipass.hpp"
-#include "core/warp_lz77.hpp"
 #include "lz77/matcher.hpp"
 #include "lz77/parser.hpp"
 #include "lz77/ref_decoder.hpp"
+#include "sim/mrr_multipass.hpp"
+#include "sim/warp_lz77.hpp"
 
 namespace gompresso {
 namespace {
+
+using sim::Strategy;
+using sim::strategy_name;
 
 /// Paper Fig. 4 / Fig. 6: the token stream
 ///   'aac', (0,3), 'b', (3,3), 'd', (3,4)
@@ -41,8 +44,8 @@ TEST(PaperFig6, MrrResolvesInTwoRounds) {
   const lz77::TokenBlock tokens = fig4_tokens();
   Bytes out(tokens.uncompressed_size);
   simt::WarpMetrics metrics;
-  core::resolve_block(tokens.sequences, tokens.literals.data(),
-                      tokens.literals.size(), out, Strategy::kMultiRound, &metrics);
+  sim::resolve_block(tokens.sequences, tokens.literals.data(),
+                     tokens.literals.size(), out, Strategy::kMultiRound, &metrics);
   EXPECT_EQ(out, lz77::decode_reference(tokens));
   // Fig. 6: step 1 writes all literals; step 2 T1 copies B1; step 3 T2
   // and T3 copy B2/B3 -> two MRR rounds.
@@ -58,13 +61,13 @@ TEST(PaperFig6, AllStrategiesProduceFig6Output) {
   const Bytes expect = lz77::decode_reference(tokens);
   for (const Strategy s : {Strategy::kSequentialCopy, Strategy::kMultiRound}) {
     Bytes out(tokens.uncompressed_size);
-    core::resolve_block(tokens.sequences, tokens.literals.data(),
-                        tokens.literals.size(), out, s);
+    sim::resolve_block(tokens.sequences, tokens.literals.data(),
+                       tokens.literals.size(), out, s);
     EXPECT_EQ(out, expect) << strategy_name(s);
   }
   Bytes out(tokens.uncompressed_size);
-  core::resolve_block_multipass(tokens.sequences, tokens.literals.data(),
-                                tokens.literals.size(), out);
+  sim::resolve_block_multipass(tokens.sequences, tokens.literals.data(),
+                               tokens.literals.size(), out);
   EXPECT_EQ(out, expect);
 }
 

@@ -1,6 +1,7 @@
 // Tests for the sharded parallel phase-2 resolver (completed-watermark
-// handoff): byte-equality with the serial resolver across corpora,
-// strategies and thread counts; crafted cross-shard and shard-starvation
+// handoff): byte-equality with the sequential resolve_span kernel across
+// corpora, DE and non-DE parses, and thread counts; crafted cross-shard
+// and shard-starvation
 // streams; abort behaviour on malformed input; arena reuse; and the
 // resolve_span oracle kernel it is checked against. The whole suite runs
 // under ThreadSanitizer in CI — the handoff's claim is exactly that the
@@ -10,7 +11,6 @@
 #include "core/decompressor.hpp"
 #include "core/gompresso.hpp"
 #include "core/resolve_parallel.hpp"
-#include "core/warp_lz77.hpp"
 #include "datagen/datasets.hpp"
 #include "lz77/parser.hpp"
 #include "lz77/ref_decoder.hpp"
@@ -40,38 +40,33 @@ ResolveShardConfig tiny_shards() {
   return config;
 }
 
-Bytes resolve_sharded_or_die(const lz77::TokenBlock& tokens, Strategy strategy,
-                             ThreadPool& pool, const ResolveShardConfig& config,
+Bytes resolve_sharded_or_die(const lz77::TokenBlock& tokens, ThreadPool& pool,
+                             const ResolveShardConfig& config,
                              std::uint64_t* deferrals = nullptr,
                              ResolvePlan* plan_out = nullptr) {
   Bytes out(tokens.uncompressed_size);
   ResolvePlan local;
   ResolvePlan& plan = plan_out ? *plan_out : local;
-  simt::WarpMetrics metrics;
-  const bool sharded = resolve_block_sharded(
-      tokens.sequences, tokens.literals.data(), tokens.literals.size(), out, strategy,
-      plan, pool, &metrics, deferrals, config);
+  const bool sharded =
+      resolve_block_sharded(tokens.sequences, tokens.literals.data(),
+                            tokens.literals.size(), out, plan, pool, deferrals, config);
   EXPECT_TRUE(sharded) << "block unexpectedly too small to shard";
   return out;
 }
 
 
-class ShardedEquivalence
-    : public ::testing::TestWithParam<std::tuple<Strategy, bool, int>> {};
+class ShardedEquivalence : public ::testing::TestWithParam<std::tuple<bool, int>> {};
 
 TEST_P(ShardedEquivalence, MatchesSerialResolver) {
-  const auto [strategy, de, which] = GetParam();
-  if (strategy == Strategy::kDependencyFree && !de) {
-    GTEST_SKIP() << "DE strategy requires DE-parsed stream";
-  }
+  const auto [de, which] = GetParam();
   const Bytes input = corpus(which, 150000);
   lz77::ParserOptions popt;
   popt.dependency_elimination = de;
   const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
 
   Bytes serial(tokens.uncompressed_size);
-  resolve_block(tokens.sequences, tokens.literals.data(), tokens.literals.size(),
-                serial, strategy, nullptr);
+  lz77::resolve_span(tokens.sequences, tokens.literals.data(), tokens.literals.size(),
+                     serial, /*base=*/0);
   ASSERT_EQ(serial, input);
 
   ThreadPool pool(4);
@@ -79,8 +74,8 @@ TEST_P(ShardedEquivalence, MatchesSerialResolver) {
   ResolvePlan plan;
   std::uint64_t deferrals = 0;
   if (!resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                             tokens.literals.size(), sharded, strategy, plan, pool,
-                             nullptr, &deferrals, tiny_shards())) {
+                             tokens.literals.size(), sharded, plan, pool, &deferrals,
+                             tiny_shards())) {
     // The incompressible corpus parses to a handful of long literal
     // runs; declining to shard such a block is the contract.
     EXPECT_LE(tokens.sequences.size(), 64u * 2);
@@ -89,12 +84,9 @@ TEST_P(ShardedEquivalence, MatchesSerialResolver) {
   EXPECT_EQ(sharded, serial);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    All, ShardedEquivalence,
-    ::testing::Combine(::testing::Values(Strategy::kSequentialCopy,
-                                         Strategy::kMultiRound,
-                                         Strategy::kDependencyFree),
-                       ::testing::Bool(), ::testing::Values(0, 1, 2, 3, 4)));
+INSTANTIATE_TEST_SUITE_P(All, ShardedEquivalence,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(0, 1, 2, 3, 4)));
 
 TEST(ResolveParallel, EndToEndSingleBlockOneVsManyThreads) {
   // The acceptance shape: a single-block file decoded on a multi-thread
@@ -150,9 +142,7 @@ TEST(ResolveParallel, ShardLocalStreamResolvesWithoutDeferrals) {
 
   ThreadPool pool(4);
   std::uint64_t deferrals = 0;
-  EXPECT_EQ(resolve_sharded_or_die(tokens, Strategy::kMultiRound, pool, tiny_shards(),
-                                   &deferrals),
-            expect);
+  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
   EXPECT_EQ(deferrals, 0u);
 }
 
@@ -183,9 +173,7 @@ TEST(ResolveParallel, ChaseResolvesDirtyReadsInsideTheShard) {
 
   ThreadPool pool(4);
   std::uint64_t deferrals = 0;
-  EXPECT_EQ(resolve_sharded_or_die(tokens, Strategy::kMultiRound, pool, tiny_shards(),
-                                   &deferrals),
-            expect);
+  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
   // Only the boundary-straddling ref of each shard may defer; the
   // dirty reads right behind it must chase-resolve instead of joining
   // a cascade (one cascade would already defer a whole shard, hundreds
@@ -216,13 +204,9 @@ TEST(ResolveParallel, CraftedRefsSpanEveryShardBoundary) {
   const Bytes expect = lz77::decode_reference(tokens);
 
   ThreadPool pool(4);
-  for (const Strategy strategy : {Strategy::kSequentialCopy, Strategy::kMultiRound}) {
-    std::uint64_t deferrals = 0;
-    EXPECT_EQ(resolve_sharded_or_die(tokens, strategy, pool, tiny_shards(), &deferrals),
-              expect)
-        << strategy_name(strategy);
-    EXPECT_GT(deferrals, 3000u) << "nearly every ref must cross its shard base";
-  }
+  std::uint64_t deferrals = 0;
+  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
+  EXPECT_GT(deferrals, 3000u) << "nearly every ref must cross its shard base";
 }
 
 TEST(ResolveParallel, ShardStarvationGiantMatch) {
@@ -246,9 +230,7 @@ TEST(ResolveParallel, ShardStarvationGiantMatch) {
 
   ThreadPool pool(4);
   std::uint64_t deferrals = 0;
-  EXPECT_EQ(resolve_sharded_or_die(tokens, Strategy::kMultiRound, pool, tiny_shards(),
-                                   &deferrals),
-            expect);
+  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
   EXPECT_GT(deferrals, 3000u);
 }
 
@@ -275,29 +257,8 @@ TEST(ResolveParallel, MalformedMiddleShardAbortsWithoutHanging) {
   Bytes out(tokens.uncompressed_size);
   ResolvePlan plan;
   EXPECT_THROW(resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                                     tokens.literals.size(), out,
-                                     Strategy::kMultiRound, plan, pool, nullptr,
-                                     nullptr, tiny_shards()),
-               Error);
-}
-
-TEST(ResolveParallel, DeValidationStillRejectsNestedStreams) {
-  // The sharded DE path keeps the serial resolver's validation: a
-  // non-DE parse of nested data must be rejected, not silently resolved.
-  datagen::NestingConfig nc;
-  nc.families = 1;
-  const Bytes input = datagen::make_nesting(100000, nc);
-  lz77::ParserOptions popt;  // no dependency elimination
-  popt.matcher.staleness = 0;
-  const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
-
-  ThreadPool pool(4);
-  Bytes out(tokens.uncompressed_size);
-  ResolvePlan plan;
-  EXPECT_THROW(resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                                     tokens.literals.size(), out,
-                                     Strategy::kDependencyFree, plan, pool, nullptr,
-                                     nullptr, tiny_shards()),
+                                     tokens.literals.size(), out, plan, pool, nullptr,
+                                     tiny_shards()),
                Error);
 }
 
@@ -311,8 +272,7 @@ TEST(ResolveParallel, TinyBlocksFallBackToSerial) {
   Bytes out(tokens.uncompressed_size);
   ResolvePlan plan;
   EXPECT_FALSE(resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                                     tokens.literals.size(), out,
-                                     Strategy::kMultiRound, plan, pool));
+                                     tokens.literals.size(), out, plan, pool));
   // And the end-to-end path must agree: no resolve fan-out, right bytes.
   CompressOptions opt;
   const Bytes file = compress(input, opt);
@@ -326,7 +286,7 @@ TEST(ResolveParallel, TinyBlocksFallBackToSerial) {
 TEST(ResolveParallel, WarmPlanBuffersDoNotGrow) {
   // Steady-state claim at the arena level: resolving the same block
   // shape twice through one plan must not grow any plan-owned buffer
-  // (shard table, pending worklists, metric round vectors) — the warm
+  // (shard table, pending worklists, dirty bitmaps) — the warm
   // pass runs out of the capacities the first pass established.
   const Bytes input = datagen::wikipedia(200000);
   lz77::ParserOptions popt;
@@ -336,61 +296,24 @@ TEST(ResolveParallel, WarmPlanBuffersDoNotGrow) {
   ThreadPool pool(4);
   ResolvePlan plan;
   const ResolveShardConfig config = tiny_shards();
-  const Bytes first =
-      resolve_sharded_or_die(tokens, Strategy::kDependencyFree, pool, config,
-                             nullptr, &plan);
+  const Bytes first = resolve_sharded_or_die(tokens, pool, config, nullptr, &plan);
   ASSERT_EQ(first, input);
 
   std::vector<std::size_t> pending_caps;
-  std::vector<std::size_t> round_caps;
+  std::vector<std::size_t> dirty_caps;
   for (const auto& p : plan.shard_pending) pending_caps.push_back(p.capacity());
-  for (const auto& m : plan.shard_metrics) round_caps.push_back(m.bytes_per_round.capacity());
+  for (const auto& d : plan.shard_dirty) dirty_caps.push_back(d.capacity());
   const std::size_t shard_cap = plan.shards.capacity();
 
-  const Bytes second =
-      resolve_sharded_or_die(tokens, Strategy::kDependencyFree, pool, config,
-                             nullptr, &plan);
+  const Bytes second = resolve_sharded_or_die(tokens, pool, config, nullptr, &plan);
   ASSERT_EQ(second, input);
   EXPECT_EQ(plan.shards.capacity(), shard_cap);
   for (std::size_t s = 0; s < plan.shard_pending.size(); ++s) {
     EXPECT_EQ(plan.shard_pending[s].capacity(), pending_caps[s]) << "shard " << s;
   }
-  for (std::size_t s = 0; s < plan.shard_metrics.size(); ++s) {
-    EXPECT_EQ(plan.shard_metrics[s].bytes_per_round.capacity(), round_caps[s])
-        << "shard " << s;
+  for (std::size_t s = 0; s < plan.shard_dirty.size(); ++s) {
+    EXPECT_EQ(plan.shard_dirty[s].capacity(), dirty_caps[s]) << "shard " << s;
   }
-}
-
-TEST(ResolveParallel, ShardedMetricsCoverEveryGroup) {
-  // The per-shard metrics must add up to the serial resolver's group
-  // count (every 32-sequence group processed exactly once), and a DE
-  // stream's phase-B rounds only appear where deferrals happened.
-  const Bytes input = datagen::wikipedia(200000);
-  lz77::ParserOptions popt;
-  popt.dependency_elimination = true;
-  const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
-
-  simt::WarpMetrics serial_metrics;
-  Bytes serial(tokens.uncompressed_size);
-  resolve_block(tokens.sequences, tokens.literals.data(), tokens.literals.size(),
-                serial, Strategy::kDependencyFree, &serial_metrics);
-
-  ThreadPool pool(4);
-  Bytes out(tokens.uncompressed_size);
-  ResolvePlan plan;
-  simt::WarpMetrics sharded_metrics;
-  ASSERT_TRUE(resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                                    tokens.literals.size(), out,
-                                    Strategy::kDependencyFree, plan, pool,
-                                    &sharded_metrics, nullptr, tiny_shards()));
-  ASSERT_EQ(out, serial);
-  EXPECT_EQ(sharded_metrics.groups, serial_metrics.groups);
-  // Total resolved bytes across rounds equal the stream's match bytes.
-  std::uint64_t serial_bytes = 0;
-  for (const auto b : serial_metrics.bytes_per_round) serial_bytes += b;
-  std::uint64_t sharded_bytes = 0;
-  for (const auto b : sharded_metrics.bytes_per_round) sharded_bytes += b;
-  EXPECT_EQ(sharded_bytes, serial_bytes);
 }
 
 // ----------------------------------------------------------------- oracle

@@ -13,6 +13,7 @@
 
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
+#include "gmpz_session.hpp"
 #include "serve/fault_source.hpp"
 #include "util/rng.hpp"
 #include "util/varint.hpp"
@@ -34,7 +35,7 @@ struct Fixture {
   }
 
   DecodeSession session(serve::SessionOptions opt = {}) const {
-    return DecodeSession(serve::memory_source(file), opt);
+    return test::gmpz_session(serve::memory_source(file), std::move(opt));
   }
 };
 
@@ -99,13 +100,13 @@ TEST(SeekIndex, SidecarFileRoundTripAndMismatchDetected) {
   EXPECT_EQ(loaded.num_blocks(), index.num_blocks());
 
   // Opening a *different* source with this index must be rejected.
+  OpenOptions oopt;
+  oopt.sidecar_path = path;
   const Fixture other(100000);
-  EXPECT_THROW(DecodeSession(serve::memory_source(other.file),
-                             serve::SeekIndex::load(path)),
-               Error);
+  EXPECT_THROW(gompresso::open(serve::memory_source(other.file), oopt), Error);
   // The matching source reopens without a scan and decodes correctly.
-  DecodeSession session(serve::memory_source(f.file), serve::SeekIndex::load(path));
-  const Bytes all = session.read_bytes_at(0, f.input.size());
+  const auto session = gompresso::open(serve::memory_source(f.file), oopt);
+  const Bytes all = session->read_bytes_at(0, f.input.size());
   EXPECT_EQ(all, f.input);
   std::remove(path.c_str());
 }
@@ -155,8 +156,8 @@ TEST(DecodeSession, ReadsStraddlingBlockBoundaries) {
   const Fixture f(200000, 16 * 1024);
   auto session = f.session();
   // Every boundary, +/- a few bytes around it.
-  for (std::size_t b = 1; b < session.index().num_blocks(); ++b) {
-    const std::uint64_t boundary = session.index().block(b).uncomp_offset;
+  for (std::size_t b = 1; b < session.num_blocks(); ++b) {
+    const std::uint64_t boundary = session.block_extent(b).uncomp_offset;
     const std::uint64_t off = boundary - 3;
     Bytes got(7);
     ASSERT_EQ(session.read_at(off, MutableByteSpan(got.data(), got.size())),
@@ -249,7 +250,7 @@ TEST(DecodeSession, MemoryStaysBoundedBySmallCache) {
   opt.max_inflight_blocks = 2;
   opt.cache_blocks = 2;
   auto session = f.session(opt);
-  ASSERT_GE(session.index().num_blocks(), 25u);
+  ASSERT_GE(session.num_blocks(), 25u);
   Bytes all(f.input.size());
   session.read(MutableByteSpan(all.data(), all.size()));
   EXPECT_TRUE(std::equal(all.begin(), all.end(), f.input.begin()));
@@ -275,7 +276,7 @@ TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
   }
   EXPECT_EQ(out, f.input);
   const serve::SessionStats st = session.stats();
-  EXPECT_EQ(st.blocks_decoded, session.index().num_blocks());
+  EXPECT_EQ(st.blocks_decoded, session.num_blocks());
   // The first read demands block 0 (nothing is prefetched yet) — a
   // demand decode even though a pool worker runs it; from then on the
   // pipeline stays ahead and the rest are lookahead decodes.
@@ -489,12 +490,13 @@ TEST(DecodeSession, GmpsStreamSessionsSpanSegments) {
   const std::string blob = compressed.str();
   const Bytes file(blob.begin(), blob.end());
 
-  auto session = DecodeSession(serve::memory_source(file));
-  EXPECT_TRUE(session.index().is_stream());
-  EXPECT_GT(session.index().num_segments(), 1u);
+  auto session = test::gmpz_session(serve::memory_source(file));
+  EXPECT_TRUE(session.backend().seek_index()->is_stream());
+  EXPECT_GT(session.backend().seek_index()->num_segments(), 1u);
   EXPECT_EQ(session.size(), input.size());
   // A read spanning a segment boundary.
-  const std::uint64_t seg1_end = session.index().segment_header(0).uncompressed_size;
+  const std::uint64_t seg1_end =
+      session.backend().seek_index()->segment_header(0).uncompressed_size;
   Bytes got(2000);
   ASSERT_EQ(session.read_at(seg1_end - 1000, MutableByteSpan(got.data(), got.size())),
             2000u);
@@ -532,7 +534,7 @@ TEST(DecodeSession, TransientSourceFailureIsRetriable) {
   serve::SessionOptions opt;
   opt.num_threads = 1;  // deterministic: decode inline on the reader
   opt.retry.max_attempts = 1;
-  DecodeSession session(std::move(flaky), opt);
+  DecodeSession session = test::gmpz_session(std::move(flaky), opt);
 
   handle->inject(serve::FaultSpec::transient_any(1));  // arm after the index scan
   Bytes buf(1000);
@@ -557,12 +559,12 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
   opt.num_threads = 2;
   opt.max_inflight_blocks = 2;
   opt.retry.max_attempts = 1;
-  DecodeSession session(std::move(flaky), opt);
+  DecodeSession session = test::gmpz_session(std::move(flaky), opt);
 
   // Fail exactly the prefetch read of block 1, scheduled as lookahead
   // by the first read of block 0.
   handle->inject(
-      serve::FaultSpec::transient_at(session.index().block(1).comp_offset, 1));
+      serve::FaultSpec::transient_at(session.block_extent(1).comp_offset, 1));
   Bytes buf(1000);
   ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
@@ -577,7 +579,7 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
   }
   ASSERT_EQ(session.stats().decode_failures, 1u);
 
-  const std::uint64_t off = session.index().block(1).uncomp_offset;
+  const std::uint64_t off = session.block_extent(1).uncomp_offset;
   Bytes got(1000);
   ASSERT_EQ(session.read_at(off, MutableByteSpan(got.data(), got.size())), 1000u);
   EXPECT_TRUE(std::equal(got.begin(), got.end(),
@@ -587,12 +589,12 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
 TEST(DecodeSession, TruncatedFileRejectedAtOpen) {
   const Fixture f(100000);
   const Bytes truncated(f.file.begin(), f.file.end() - 5);
-  EXPECT_THROW(DecodeSession(serve::memory_source(truncated)), Error);
+  EXPECT_THROW(gompresso::open(serve::memory_source(truncated)), Error);
 }
 
 TEST(DecodeSession, EmptyFileServesZeroBytes) {
   const Bytes file = compress(Bytes{}, {});
-  auto session = DecodeSession(serve::memory_source(file));
+  auto session = test::gmpz_session(serve::memory_source(file));
   EXPECT_EQ(session.size(), 0u);
   Bytes buf(10);
   EXPECT_EQ(session.read(MutableByteSpan(buf.data(), buf.size())), 0u);
@@ -607,21 +609,10 @@ TEST(DecodeSession, FileSourceMatchesMemorySource) {
     out.write(reinterpret_cast<const char*>(f.file.data()),
               static_cast<std::streamsize>(f.file.size()));
   }
-  auto session = DecodeSession(serve::open_file_source(path));
-  const Bytes all = session.read_bytes_at(0, f.input.size());
+  const auto session = gompresso::open(path);
+  const Bytes all = session->read_bytes_at(0, f.input.size());
   EXPECT_EQ(all, f.input);
   std::remove(path.c_str());
-}
-
-TEST(DecodeSession, ExplicitDeStrategyRejectedOnNonDeFile) {
-  const Bytes input = datagen::wikipedia(100000);
-  CompressOptions copt;
-  copt.dependency_elimination = false;
-  const Bytes file = compress(input, copt);
-  serve::SessionOptions opt;
-  opt.auto_strategy = false;
-  opt.strategy = Strategy::kDependencyFree;
-  EXPECT_THROW(DecodeSession(serve::memory_source(file), opt), Error);
 }
 
 }  // namespace

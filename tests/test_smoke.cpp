@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/gompresso.hpp"
+#include "sim/decompress.hpp"
 #include "util/rng.hpp"
 
 namespace gompresso {
@@ -53,18 +54,15 @@ TEST(Smoke, AllStrategiesAgree) {
     opt.dependency_elimination = de;
     opt.block_size = 32 * 1024;
     const Bytes file = compress(input, opt);
-    for (const Strategy s : {Strategy::kSequentialCopy, Strategy::kMultiRound,
-                             Strategy::kMultiPass}) {
-      DecompressOptions dopt;
-      dopt.auto_strategy = false;
-      dopt.strategy = s;
-      EXPECT_EQ(decompress(file, dopt).data, input) << strategy_name(s) << " de=" << de;
+    EXPECT_EQ(decompress(file).data, input) << "de=" << de;
+    for (const sim::Strategy s :
+         {sim::Strategy::kSequentialCopy, sim::Strategy::kMultiRound,
+          sim::Strategy::kMultiPass}) {
+      EXPECT_EQ(sim::decompress(file, s).data, input)
+          << sim::strategy_name(s) << " de=" << de;
     }
     if (de) {
-      DecompressOptions dopt;
-      dopt.auto_strategy = false;
-      dopt.strategy = Strategy::kDependencyFree;
-      EXPECT_EQ(decompress(file, dopt).data, input);
+      EXPECT_EQ(sim::decompress(file, sim::Strategy::kDependencyFree).data, input);
     }
   }
 }

@@ -1,16 +1,16 @@
-// Tests for the warp-parallel LZ77 resolution engine: equivalence with
+// Tests for the warp simulator's LZ77 resolution engine (sim/): equivalence with
 // the sequential reference decoder across strategies, round-count
 // invariants (DE = 1 round), metrics accounting, and malformed input.
 #include <gtest/gtest.h>
 
-#include "core/mrr_multipass.hpp"
-#include "core/warp_lz77.hpp"
+#include "sim/mrr_multipass.hpp"
+#include "sim/warp_lz77.hpp"
 #include "datagen/datasets.hpp"
 #include "lz77/parser.hpp"
 #include "lz77/ref_decoder.hpp"
 #include "util/rng.hpp"
 
-namespace gompresso::core {
+namespace gompresso::sim {
 namespace {
 
 Bytes resolve_with(const lz77::TokenBlock& tokens, Strategy strategy,
@@ -257,4 +257,4 @@ TEST(WarpLz77, RejectsLiteralCountMismatch) {
 }
 
 }  // namespace
-}  // namespace gompresso::core
+}  // namespace gompresso::sim
