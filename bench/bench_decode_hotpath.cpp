@@ -25,7 +25,6 @@
 #include "bench/bench_util.hpp"
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
-#include "core/resolve_parallel.hpp"
 #include "core/tans_codec.hpp"
 #include "datagen/datasets.hpp"
 #include "format/header.hpp"
@@ -34,7 +33,6 @@
 #include "lz77/deflate_tables.hpp"
 #include "lz77/ref_decoder.hpp"
 #include "simt/warp.hpp"
-#include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso::bench {
@@ -600,14 +598,10 @@ int main(int argc, char** argv) {
 
   // --- phase-2 resolution stage in isolation ---------------------------
   // Decode the bit/DE file's tokens once, then time resolution alone:
-  // the production resolvers — the sequential lz77::resolve_span kernel
-  // and the sharded resolver on a 2-thread pool (the watermark-handoff
-  // path single-block files take) — and the compiled-in seed resolver
-  // (zero-initialised group state, simulated shuffle scans, per-block
-  // metric merges). Byte-identity of every variant is a hard
-  // gate; so is the fast-1T-vs-legacy speedup. The 2T speedup gate is
-  // enforced only on hosts with >= 2 hardware threads — on a 1-core box
-  // two threads time-share and the ratio measures the scheduler.
+  // the production lz77::resolve_span wild-copy kernel and the
+  // compiled-in seed resolver (zero-initialised group state, simulated
+  // shuffle scans, per-block metric merges). Byte-identity of both is a
+  // hard gate; so is the fast-1T-vs-legacy speedup.
   std::vector<lz77::TokenBlock> token_blocks;
   std::vector<std::size_t> resolve_base;
   {
@@ -633,19 +627,6 @@ int main(int argc, char** argv) {
                          resolve_slice(b), /*base=*/0);
     }
   };
-  ThreadPool resolve_pool(2);
-  core::ResolvePlan resolve_plan;
-  const auto run_resolve_fast_2t = [&] {
-    for (std::size_t b = 0; b < token_blocks.size(); ++b) {
-      const auto& t = token_blocks[b];
-      if (!core::resolve_block_sharded(t.sequences, t.literals.data(),
-                                       t.literals.size(), resolve_slice(b),
-                                       resolve_plan, resolve_pool)) {
-        lz77::resolve_span(t.sequences, t.literals.data(), t.literals.size(),
-                           resolve_slice(b), /*base=*/0);
-      }
-    }
-  };
   const auto run_resolve_legacy = [&] {
     simt::WarpMetrics total;
     for (std::size_t b = 0; b < token_blocks.size(); ++b) {
@@ -660,18 +641,12 @@ int main(int argc, char** argv) {
   const double resolve_fast_1t_sec = time_median_of(reps, run_resolve_fast_1t);
   check(resolve_out == input, "bench: serial resolve mismatch");
   std::fill(resolve_out.begin(), resolve_out.end(), 0);
-  const double resolve_fast_2t_sec = time_median_of(reps, run_resolve_fast_2t);
-  check(resolve_out == input, "bench: sharded resolve mismatch");
-  std::fill(resolve_out.begin(), resolve_out.end(), 0);
   const double resolve_legacy_sec = time_median_of(reps, run_resolve_legacy);
   check(resolve_out == input, "bench: legacy resolve mismatch");
   report.add("resolve/bit/DE/fast-1T", resolve_fast_1t_sec, input.size());
-  report.add("resolve/bit/DE/fast-2T", resolve_fast_2t_sec, input.size());
   report.add("resolve/bit/DE/legacy-v0", resolve_legacy_sec, input.size());
   std::printf("%-28s %14.1f\n", "resolve/bit/DE/fast-1T",
               input.size() / 1e6 / resolve_fast_1t_sec);
-  std::printf("%-28s %14.1f\n", "resolve/bit/DE/fast-2T",
-              input.size() / 1e6 / resolve_fast_2t_sec);
   std::printf("%-28s %14.1f\n", "resolve/bit/DE/legacy-v0",
               input.size() / 1e6 / resolve_legacy_sec);
 
@@ -686,30 +661,12 @@ int main(int argc, char** argv) {
   std::printf("serial resolve speedup over the seed resolver: %.2fx (gate: >= 1.05x)\n",
               resolve_speedup);
 
-  const bool multicore = std::thread::hardware_concurrency() >= 2;
-  double resolve_2t_speedup = resolve_legacy_sec / resolve_fast_2t_sec;
-  if (multicore) {
-    for (int attempt = 0; attempt < 2 && resolve_2t_speedup < 1.2; ++attempt) {
-      std::printf("2T resolve speedup %.2fx below gate — remeasuring (attempt %d)\n",
-                  resolve_2t_speedup, attempt + 1);
-      const double l2 = time_median_of(reps, run_resolve_legacy);
-      const double f2 = time_median_of(reps, run_resolve_fast_2t);
-      resolve_2t_speedup = std::max(resolve_2t_speedup, l2 / f2);
-    }
-    std::printf("2T sharded resolve speedup over the seed resolver: %.2fx "
-                "(gate: >= 1.2x)\n",
-                resolve_2t_speedup);
-  } else {
-    std::printf("2T sharded resolve ratio on this 1-core host: %.2fx "
-                "(informational; the >= 1.2x gate needs >= 2 hardware threads)\n",
-                resolve_2t_speedup);
-  }
-
   // --- end-to-end single-block decode, 1T vs 2T ------------------------
-  // The acceptance shape of the phase-2 fan-out: one huge block decoded
-  // on two threads must beat the 1-thread decode (both phases fan out)
-  // with byte-identical output and the arena's zero-steady-state-
-  // allocation claim intact.
+  // The acceptance shape of the intra-block fan-out: one huge block
+  // decoded on two threads must beat the 1-thread decode (token lanes fan
+  // out, the resolve kernel runs on the calling thread) with
+  // byte-identical output and the arena's zero-steady-state-allocation
+  // claim intact.
   CompressOptions single_opt;
   single_opt.codec = Codec::kBit;
   single_opt.block_size = static_cast<std::uint32_t>(
@@ -730,10 +687,8 @@ int main(int argc, char** argv) {
         "bench: single-block 2T output differs from 1T");
   check(single_2t.scratch.lane_fanouts == 1,
         "bench: single-block 2T decode must fan out token lanes");
-  check(single_2t.scratch.resolve_fanouts == 1,
-        "bench: single-block 2T decode must shard phase-2 resolution");
   check(single_2t.scratch.blocks == single_2t.scratch.buffer_reuses,
-        "bench: sharded decode allocated in the steady state");
+        "bench: fanned-out decode allocated in the steady state");
   report.add("pipeline/bit/DE/single-block-1T", single_1t_sec, input.size());
   report.add("pipeline/bit/DE/single-block-2T", single_2t_sec, input.size());
   std::printf("%-28s %14.1f\n", "pipeline/bit/DE/single-block-1T",
@@ -741,6 +696,7 @@ int main(int argc, char** argv) {
   std::printf("%-28s %14.1f\n", "pipeline/bit/DE/single-block-2T",
               input.size() / 1e6 / single_2t_sec);
   double e2e_speedup = single_1t_sec / single_2t_sec;
+  const bool multicore = std::thread::hardware_concurrency() >= 2;
   if (multicore) {
     for (int attempt = 0; attempt < 2 && e2e_speedup < 1.1; ++attempt) {
       std::printf("single-block 2T speedup %.2fx below gate — remeasuring "
@@ -807,8 +763,6 @@ int main(int argc, char** argv) {
   check(obs_ratio >= 0.98,
         "bench: metrics instrumentation above the 2% overhead gate");
   if (multicore) {
-    check(resolve_2t_speedup >= 1.2,
-          "bench: sharded resolve below the 1.2x acceptance gate");
     check(e2e_speedup >= 1.1,
           "bench: single-block 2T decode below the 1.1x acceptance gate");
   }

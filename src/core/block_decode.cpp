@@ -3,7 +3,6 @@
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
 #include "core/options.hpp"
-#include "core/resolve_parallel.hpp"
 #include "core/tans_codec.hpp"
 #include "lz77/ref_decoder.hpp"
 #include "obs/trace.hpp"
@@ -95,24 +94,15 @@ void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc
   if (tokens == nullptr) {
     decode_obs().stored_blocks.add(1);
   } else {
-    // Phase 2: LZ77 resolution. With a lane pool the block's sequences
-    // are sharded across the pool's threads with a completed-watermark
-    // handoff (resolve_parallel.hpp); otherwise — and for blocks too
-    // small to shard — the sequential kernel runs. Both bounds-check
+    // Phase 2: LZ77 resolution with the sequential wild-copy kernel, on
+    // the calling thread even when phase 1 fanned out. It bounds-checks
     // every sequence, and the byte count closes the block: a stream that
     // stops short must not leave stale bytes behind even with the CRC off.
     obs::StageScope stage("resolve", "decode", decode_obs().resolve_us);
-    if (lane_pool != nullptr &&
-        resolve_block_sharded(tokens->sequences, tokens->literals.data(),
-                              tokens->literals.size(), out, ctx.scratch.resolve,
-                              *lane_pool, &ctx.scratch.stats.resolve_deferrals)) {
-      ++ctx.scratch.stats.resolve_fanouts;
-    } else {
-      const std::uint64_t written =
-          lz77::resolve_span(tokens->sequences, tokens->literals.data(),
-                             tokens->literals.size(), out, /*base=*/0);
-      check_corrupt(written == out.size(), "decompress: block size mismatch");
-    }
+    const std::uint64_t written =
+        lz77::resolve_span(tokens->sequences, tokens->literals.data(),
+                           tokens->literals.size(), out, /*base=*/0);
+    check_corrupt(written == out.size(), "decompress: block size mismatch");
   }
   decode_obs().blocks.add(1);
   decode_obs().bytes.add(out.size());

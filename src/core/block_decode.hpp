@@ -8,10 +8,10 @@
 //
 // Decode is the paper's two phases: token decode (phase 1, one codec
 // per file) and LZ77 resolution (phase 2). Production resolves with one
-// kernel, lz77::resolve_span, or with the sharded resolver when a lane
-// pool is given. The paper's SC/MRR/DE warp strategies all write the
-// same bytes; they run in the simulator (sim/decompress.hpp), which
-// shares phase 1 through decode_block_tokens().
+// kernel, lz77::resolve_span, whether or not phase 1 fanned out. The
+// paper's SC/MRR/DE warp strategies all write the same bytes; they run
+// in the simulator (sim/decompress.hpp), which shares phase 1 through
+// decode_block_tokens().
 #pragma once
 
 #include "core/decode_scratch.hpp"
@@ -45,11 +45,12 @@ const lz77::TokenBlock* decode_block_tokens(const format::FileHeader& header,
 
 /// Decodes one block payload (CRC32 + mode byte + codec body, i.e. the
 /// byte range the header's size list assigns to the block) into `out`,
-/// which must be sized to the block's uncompressed length. `lane_pool`
-/// optionally fans both decode phases of the block out across a pool
-/// (single-block files): phase-1 token decode by sub-block lane, and
-/// phase-2 LZ77 resolution by shard with a completed-watermark handoff.
-/// Pass nullptr to stay on the calling thread. Malformed data, including
+/// which must be sized to the block's uncompressed length; no byte
+/// outside `out` is written, so neighbouring blocks of one buffer can
+/// decode concurrently. `lane_pool` optionally fans phase-1 token decode
+/// out by sub-block lane across a pool (single-block files); phase-2
+/// LZ77 resolution always runs on the calling thread. Pass nullptr to
+/// stay on the calling thread throughout. Malformed data, including
 /// a token stream that writes fewer bytes than the block holds, throws
 /// CorruptionError whether or not `verify_checksum` is set.
 void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc,

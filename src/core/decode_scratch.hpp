@@ -20,7 +20,6 @@
 
 #include "ans/tans.hpp"
 #include "core/decode_tables.hpp"
-#include "core/resolve_parallel.hpp"
 #include "lz77/sequence.hpp"
 
 namespace gompresso::core {
@@ -66,8 +65,6 @@ struct ScratchStats {
                                     // tables or tANS models
   std::uint64_t table_reuses = 0;   // cached-tree hits (bit codec)
   std::uint64_t lane_fanouts = 0;   // blocks whose lanes ran thread-parallel
-  std::uint64_t resolve_fanouts = 0;    // blocks whose phase-2 ran sharded
-  std::uint64_t resolve_deferrals = 0;  // back-refs handed to a phase-B sweep
 
   void merge(const ScratchStats& other) {
     blocks += other.blocks;
@@ -75,8 +72,6 @@ struct ScratchStats {
     table_builds += other.table_builds;
     table_reuses += other.table_reuses;
     lane_fanouts += other.lane_fanouts;
-    resolve_fanouts += other.resolve_fanouts;
-    resolve_deferrals += other.resolve_deferrals;
   }
 };
 
@@ -94,8 +89,6 @@ struct DecodeScratch {
   /// Per-block shared tANS models, rebuilt in place (decode side only).
   ans::Model record_model;
   ans::Model literal_model;
-  /// Phase-2 shard plan + watermark state (sharded parallel resolution).
-  ResolvePlan resolve;
   ScratchStats stats;
 
   /// Pre-sizes the buffers to the worst case any block of
@@ -114,7 +107,6 @@ struct DecodeScratch {
     block.sequences.reserve(max_seq);
     block.literals.reserve(max_block_size);
     subblocks.reserve(max_lanes);
-    resolve.reserve(max_seq / ResolveShardConfig{}.min_sequences_per_shard + 2);
     if (tans) {
       tans_lanes.reserve(max_lanes);
       record_bytes.reserve(max_seq * kByteRecordSize);

@@ -65,10 +65,9 @@ DecompressResult decompress(ByteSpan file, const DecompressOptions& options) {
       decompress_one(workers[worker], b, nullptr);
     });
   } else {
-    // A single block cannot use inter-block parallelism at all: fan both
-    // of its decode phases out across the pool instead — phase-1 token
-    // decode by sub-block lane (every codec), then phase-2 LZ77
-    // resolution by shard with a completed-watermark handoff.
+    // A single block cannot use inter-block parallelism at all: fan its
+    // phase-1 token decode out across the pool by sub-block lane (every
+    // codec); phase-2 LZ77 resolution then runs on this thread.
     workers.resize(1);
     decompress_one(workers[0], 0, pool);
   }

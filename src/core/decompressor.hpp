@@ -1,14 +1,12 @@
 // The Gompresso decompressor: inter-block parallelism across worker
-// threads, intra-block parallelism across sub-block lanes and LZ77
-// resolve shards (§III-B).
+// threads, intra-block parallelism across sub-block lanes (§III-B).
 //
 // Thread plan: with at least as many blocks as pool participants, workers
 // pull whole blocks from the common queue (the paper's inter-block
-// parallelism). A single-block file cannot use that at all, so both of
-// its decode phases are fanned out across the pool instead: token decode
-// by sub-block lane (the paper's warp lanes, executed as real threads)
-// and LZ77 resolution by shard with a completed-watermark
-// handoff (core/resolve_parallel.hpp). Every worker owns a DecodeScratch
+// parallelism). A single-block file cannot use that at all, so its token
+// decode is fanned out across the pool instead, by sub-block lane (the
+// paper's warp lanes, executed as real threads); its LZ77 resolution then
+// runs the sequential wild-copy kernel. Every worker owns a DecodeScratch
 // arena and private counters, merged once at the end — the steady-state
 // block loop takes no locks and performs no heap allocations.
 #pragma once
@@ -27,11 +25,8 @@ struct DecompressResult {
   /// Decode-arena reuse counters (all codecs). In the steady state every
   /// block is a buffer_reuse (arenas are pre-reserved from the header
   /// bound); scratch.lane_fanouts counts blocks whose sub-block lanes
-  /// were decoded thread-parallel and scratch.resolve_fanouts blocks
-  /// whose LZ77 resolution ran sharded (both intra-block paths taken for
-  /// a single-block file on a multi-thread pool). resolve_deferrals
-  /// counts back-references that crossed a shard boundary and resolved
-  /// in a phase-B watermark sweep.
+  /// were decoded thread-parallel (a single-block file on a multi-thread
+  /// pool).
   core::ScratchStats scratch;
 };
 

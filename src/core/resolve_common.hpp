@@ -1,11 +1,11 @@
 // Shared phase-2 resolution primitives.
 //
 // Every LZ77 resolver copies back-references into a block's output
-// window: the production kernels (lz77::resolve_span and the sharded
-// core/resolve_parallel.cpp) and the paper's warp simulator (sim/). They
-// share the overlap-safe copy kernel and the deferred-reference record;
-// this header is that common ground so they stay bit-for-bit agreeing on
-// the tricky cases (RLE runs, self-overlapping forward copies).
+// window: the production kernel (lz77::resolve_span) and the paper's
+// warp simulator (sim/). They share the overlap-safe copy kernel and the
+// deferred-reference record; this header is that common ground so they
+// stay bit-for-bit agreeing on the tricky cases (RLE runs,
+// self-overlapping forward copies).
 #pragma once
 
 #include <algorithm>

@@ -27,8 +27,7 @@
 // This is the paper's GPU algorithm run on the CPU, for the figure
 // reproductions (bench_fig*, strategy_tour) and their tests. Production
 // decode does not use it: every strategy writes the same bytes, so
-// core::decode_block_at resolves with lz77::resolve_span (or the sharded
-// resolver) instead.
+// core::decode_block_at resolves with lz77::resolve_span instead.
 #pragma once
 
 #include <algorithm>

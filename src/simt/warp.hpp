@@ -112,15 +112,6 @@ struct WarpMetrics {
   /// Accumulates another metrics object (per-block metrics -> total).
   void merge(const WarpMetrics& other);
 
-  /// Zeroes every counter while keeping the round vectors' capacity, so
-  /// a reused accumulator (the sharded resolver's per-shard slots) stays
-  /// allocation-free across blocks.
-  void reset() {
-    groups = rounds = ballots = shuffles = max_rounds_in_group = 0;
-    bytes_per_round.clear();
-    refs_per_round.clear();
-  }
-
   /// Average number of resolution rounds per warp group.
   double avg_rounds_per_group() const {
     return groups == 0 ? 0.0 : static_cast<double>(rounds) / static_cast<double>(groups);

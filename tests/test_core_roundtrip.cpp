@@ -1,9 +1,10 @@
 // Parameterized end-to-end round-trip sweep over the compressor's
 // configuration space (codec x DE x block size x window x sub-block size
 // x CWL) and datasets, plus option validation. The sweep also checks that
-// every decoder — production decompress() serial, block-parallel and
-// sharded, open() sessions, and the warp simulator under each strategy —
-// writes the same bytes.
+// every decoder — production decompress() serial, block-parallel (with
+// block ends off 16-byte boundaries) and single-block lane fan-out, open()
+// sessions, and the warp simulator under each strategy — writes the same
+// bytes.
 #include <gtest/gtest.h>
 
 #include "core/gompresso.hpp"
@@ -23,24 +24,26 @@ Bytes dataset(int which, std::size_t n) {
 }
 
 /// Every decoder must reproduce `input` from `file` (compressed with
-/// `opt`): production decompress() at 1 and 4 threads, the same input as
-/// one block at 4 threads (the sharded resolver; it shards whenever the
-/// block has enough sequences, as wikipedia text does), open() + read(),
-/// and sim::decompress under every strategy the stream admits.
-void expect_decoders_agree(const Bytes& input, const Bytes& file, CompressOptions opt,
-                           bool expect_sharded) {
+/// `opt`): production decompress() at 1 and 4 threads, the same input at
+/// a 4093-byte block size at 4 threads (block ends fall off 16-byte
+/// boundaries while neighbouring blocks resolve into the same buffer, so
+/// a wild copy past a block end would clobber a neighbour or race with
+/// it under TSan), the same input as one block at 4 threads (phase-1 lane
+/// fan-out), open() + read(), and sim::decompress under every strategy
+/// the stream admits.
+void expect_decoders_agree(const Bytes& input, const Bytes& file, CompressOptions opt) {
+  DecompressOptions four;
+  four.num_threads = 4;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     DecompressOptions dopt;
     dopt.num_threads = threads;
     EXPECT_EQ(decompress(file, dopt).data, input) << "threads=" << threads;
   }
+  CompressOptions odd = opt;
+  odd.block_size = 4093;
+  EXPECT_EQ(decompress(compress(input, odd), four).data, input) << "4093-byte blocks";
   opt.block_size = 512 * 1024;  // > input: exactly one block
-  const Bytes single = compress(input, opt);
-  DecompressOptions four;
-  four.num_threads = 4;
-  const DecompressResult sharded = decompress(single, four);
-  EXPECT_EQ(sharded.data, input) << "single block";
-  if (expect_sharded) EXPECT_EQ(sharded.scratch.resolve_fanouts, 1u);
+  EXPECT_EQ(decompress(compress(input, opt), four).data, input) << "single block";
 
   const auto session = gompresso::open(serve::memory_source(file));
   Bytes got(input.size() + 1);
@@ -83,7 +86,7 @@ TEST_P(RoundTripSweep, CompressDecompress) {
   // Block and sub-block sizes only shape phase 1, which every decoder
   // shares, so one slice of the sweep carries the equivalence check.
   if (block_size == 32u * 1024u && tokens_per_subblock == 16u) {
-    expect_decoders_agree(input, file, opt, /*expect_sharded=*/which == 0);
+    expect_decoders_agree(input, file, opt);
   }
 }
 

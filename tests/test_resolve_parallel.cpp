@@ -1,20 +1,17 @@
-// Tests for the sharded parallel phase-2 resolver (completed-watermark
-// handoff): byte-equality with the sequential resolve_span kernel across
-// corpora, DE and non-DE parses, and thread counts; crafted cross-shard
-// and shard-starvation
-// streams; abort behaviour on malformed input; arena reuse; and the
-// resolve_span oracle kernel it is checked against. The whole suite runs
-// under ThreadSanitizer in CI — the handoff's claim is exactly that the
-// cross-shard reads are properly ordered.
+// Tests for phase-2 LZ77 resolution: the production resolve_span
+// wild-copy kernel — byte-equality across corpora and DE/non-DE parses,
+// its write bounds at the window and literal-buffer edges, and its
+// rejection of malformed spans on both the wild and the exact path — and
+// single-block files decoded on a multi-thread pool, whose token lanes fan
+// out before the kernel resolves them. The suite runs under
+// ThreadSanitizer and AddressSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include "core/decompressor.hpp"
 #include "core/gompresso.hpp"
-#include "core/resolve_parallel.hpp"
 #include "datagen/datasets.hpp"
 #include "lz77/parser.hpp"
 #include "lz77/ref_decoder.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gompresso::core {
 namespace {
@@ -33,65 +30,26 @@ Bytes corpus(int which, std::size_t size) {
   }
 }
 
-/// Small shards so even test-sized token blocks split many ways.
-ResolveShardConfig tiny_shards() {
-  ResolveShardConfig config;
-  config.min_sequences_per_shard = 64;
-  return config;
-}
-
-Bytes resolve_sharded_or_die(const lz77::TokenBlock& tokens, ThreadPool& pool,
-                             const ResolveShardConfig& config,
-                             std::uint64_t* deferrals = nullptr,
-                             ResolvePlan* plan_out = nullptr) {
-  Bytes out(tokens.uncompressed_size);
-  ResolvePlan local;
-  ResolvePlan& plan = plan_out ? *plan_out : local;
-  const bool sharded =
-      resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                            tokens.literals.size(), out, plan, pool, deferrals, config);
-  EXPECT_TRUE(sharded) << "block unexpectedly too small to shard";
-  return out;
-}
-
-
-class ShardedEquivalence : public ::testing::TestWithParam<std::tuple<bool, int>> {};
-
-TEST_P(ShardedEquivalence, MatchesSerialResolver) {
-  const auto [de, which] = GetParam();
-  const Bytes input = corpus(which, 150000);
-  lz77::ParserOptions popt;
-  popt.dependency_elimination = de;
-  const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
-
-  Bytes serial(tokens.uncompressed_size);
-  lz77::resolve_span(tokens.sequences, tokens.literals.data(), tokens.literals.size(),
-                     serial, /*base=*/0);
-  ASSERT_EQ(serial, input);
-
-  ThreadPool pool(4);
-  Bytes sharded(tokens.uncompressed_size);
-  ResolvePlan plan;
-  std::uint64_t deferrals = 0;
-  if (!resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                             tokens.literals.size(), sharded, plan, pool, &deferrals,
-                             tiny_shards())) {
-    // The incompressible corpus parses to a handful of long literal
-    // runs; declining to shard such a block is the contract.
-    EXPECT_LE(tokens.sequences.size(), 64u * 2);
-    return;
+TEST(ResolveSpan, MatchesInputAcrossCorpora) {
+  for (const bool de : {true, false}) {
+    for (int which = 0; which < 5; ++which) {
+      const Bytes input = corpus(which, 150000);
+      lz77::ParserOptions popt;
+      popt.dependency_elimination = de;
+      const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
+      Bytes out(tokens.uncompressed_size);
+      EXPECT_EQ(lz77::resolve_span(tokens.sequences, tokens.literals.data(),
+                                   tokens.literals.size(), out, /*base=*/0),
+                out.size());
+      EXPECT_EQ(out, input) << "corpus " << which << " de=" << de;
+    }
   }
-  EXPECT_EQ(sharded, serial);
 }
 
-INSTANTIATE_TEST_SUITE_P(All, ShardedEquivalence,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Values(0, 1, 2, 3, 4)));
-
-TEST(ResolveParallel, EndToEndSingleBlockOneVsManyThreads) {
-  // The acceptance shape: a single-block file decoded on a multi-thread
-  // pool must take the sharded phase-2 path and produce bytes identical
-  // to the 1-thread decode, for every codec and both stream kinds.
+TEST(SingleBlockDecode, OneVsManyThreads) {
+  // A single-block file decoded on a multi-thread pool fans its token
+  // lanes out and must produce bytes identical to the 1-thread decode,
+  // for every codec and both stream kinds.
   const Bytes input = datagen::wikipedia(400000);
   for (const Codec codec : {Codec::kBit, Codec::kByte, Codec::kTans}) {
     for (const bool de : {true, false}) {
@@ -105,231 +63,40 @@ TEST(ResolveParallel, EndToEndSingleBlockOneVsManyThreads) {
       one.num_threads = 1;
       const DecompressResult serial = decompress(file, one);
       ASSERT_EQ(serial.data, input);
-      EXPECT_EQ(serial.scratch.resolve_fanouts, 0u);
 
       DecompressOptions many;
       many.num_threads = 4;
       const DecompressResult parallel = decompress(file, many);
       ASSERT_EQ(parallel.data, serial.data)
           << "codec " << static_cast<int>(codec) << " de=" << de;
-      EXPECT_EQ(parallel.scratch.resolve_fanouts, 1u)
-          << "codec " << static_cast<int>(codec) << " de=" << de
-          << ": single block + 4 threads must shard phase 2";
       EXPECT_EQ(parallel.scratch.lane_fanouts, 1u);
-      // The arena is pre-reserved from the header bound: the sharded
-      // resolve must not have cost the block its buffer-reuse claim.
+      // The arena is pre-reserved from the header bound: the fan-out
+      // must not have cost the block its buffer-reuse claim.
       EXPECT_EQ(parallel.scratch.blocks, parallel.scratch.buffer_reuses);
     }
   }
 }
 
-TEST(ResolveParallel, ShardLocalStreamResolvesWithoutDeferrals) {
-  // A stream whose every match copies from its own literal string never
-  // reaches below a shard base, so phase A must resolve all of it
-  // concurrently — zero deferrals, no watermark parking. This is the
-  // fully-concurrent end of the concurrent-vs-pipelined spectrum (the
-  // crafted cross-shard test below is the other end).
-  lz77::TokenBlock tokens;
-  for (int k = 0; k < 8192; ++k) {
-    for (int i = 0; i < 8; ++i) {
-      tokens.literals.push_back(static_cast<std::uint8_t>(k * 8 + i));
-    }
-    tokens.sequences.push_back({8, 4, 8});  // copies its own literals
-  }
-  tokens.sequences.push_back({0, 0, 0});
-  tokens.uncompressed_size = static_cast<std::uint32_t>(8192 * 12);
-  const Bytes expect = lz77::decode_reference(tokens);
-
-  ThreadPool pool(4);
-  std::uint64_t deferrals = 0;
-  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
-  EXPECT_EQ(deferrals, 0u);
-}
-
-TEST(ResolveParallel, ChaseResolvesDirtyReadsInsideTheShard) {
-  // References that read a deferred reference's output but whose
-  // transitive origin stays inside the shard must be chased to that
-  // origin and copied in phase A rather than joining the cascade: only
-  // the refs whose chains truly cross a shard base may defer.
-  lz77::TokenBlock tokens;
-  // Each sequence: 4 literals then a match of 4 at distance 6 — the
-  // source straddles the previous sequence's match output (dirty when
-  // that ref deferred) and own literals, with the chain grounding in
-  // literal bytes after a couple of hops.
-  for (int k = 0; k < 8192; ++k) {
-    for (int i = 0; i < 4; ++i) {
-      tokens.literals.push_back(static_cast<std::uint8_t>(k ^ (i * 41)));
-    }
-    lz77::Sequence s;
-    s.literal_len = 4;
-    s.match_len = 4;
-    const std::uint64_t pos = static_cast<std::uint64_t>(k) * 8 + 4;  // write_pos
-    s.match_dist = pos >= 6 ? 6 : static_cast<std::uint32_t>(pos);
-    tokens.sequences.push_back(s);
-  }
-  tokens.sequences.push_back({0, 0, 0});
-  tokens.uncompressed_size = static_cast<std::uint32_t>(8192 * 8);
-  const Bytes expect = lz77::decode_reference(tokens);
-
-  ThreadPool pool(4);
-  std::uint64_t deferrals = 0;
-  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
-  // Only the boundary-straddling ref of each shard may defer; the
-  // dirty reads right behind it must chase-resolve instead of joining
-  // a cascade (one cascade would already defer a whole shard, hundreds
-  // of refs).
-  EXPECT_GT(deferrals, 0u);
-  EXPECT_LT(deferrals, 8192u / 16);
-}
-
-TEST(ResolveParallel, CraftedRefsSpanEveryShardBoundary) {
-  // A non-DE stream built so that every back-reference (after warm-up)
-  // reaches below its shard's base: with 64-sequence shards each
-  // emitting 5 bytes per sequence, a constant distance of 321 bytes
-  // always crosses at least one 320-byte shard boundary. Every shard's
-  // phase A defers everything and the watermark handoff must still
-  // reconstruct the exact byte stream.
-  lz77::TokenBlock tokens;
-  for (int k = 0; k < 4096; ++k) {
-    lz77::Sequence s;
-    s.literal_len = 1;
-    s.match_len = 4;
-    const std::uint64_t pos = static_cast<std::uint64_t>(k) * 5 + 1;  // write_pos
-    s.match_dist = pos > 321 ? 321 : static_cast<std::uint32_t>(pos);
-    tokens.sequences.push_back(s);
-    tokens.literals.push_back(static_cast<std::uint8_t>(k * 37 + 11));
-  }
-  tokens.sequences.push_back({0, 0, 0});
-  tokens.uncompressed_size = static_cast<std::uint32_t>(4096 * 5);
-  const Bytes expect = lz77::decode_reference(tokens);
-
-  ThreadPool pool(4);
-  std::uint64_t deferrals = 0;
-  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
-  EXPECT_GT(deferrals, 3000u) << "nearly every ref must cross its shard base";
-}
-
-TEST(ResolveParallel, ShardStarvationGiantMatch) {
-  // One giant RLE match covers most of the window; every later shard's
-  // references read deep inside it, so they all park on the watermark
-  // until the first shard finishes — the worst-case handoff pattern.
-  lz77::TokenBlock tokens;
-  tokens.literals.push_back('G');
-  tokens.sequences.push_back({1, 200000, 1});
-  for (int k = 0; k < 4096; ++k) {
-    lz77::Sequence s;
-    s.literal_len = 1;
-    s.match_len = 8;
-    s.match_dist = 150000;  // deep inside the giant run
-    tokens.sequences.push_back(s);
-    tokens.literals.push_back(static_cast<std::uint8_t>('a' + k % 26));
-  }
-  tokens.sequences.push_back({0, 0, 0});
-  tokens.uncompressed_size = static_cast<std::uint32_t>(1 + 200000 + 4096 * 9);
-  const Bytes expect = lz77::decode_reference(tokens);
-
-  ThreadPool pool(4);
-  std::uint64_t deferrals = 0;
-  EXPECT_EQ(resolve_sharded_or_die(tokens, pool, tiny_shards(), &deferrals), expect);
-  EXPECT_GT(deferrals, 3000u);
-}
-
-TEST(ResolveParallel, MalformedMiddleShardAbortsWithoutHanging) {
-  // A bad distance deep in a middle shard, in a stream whose other
-  // references all cross their shard base: later shards are parked on
-  // the watermark when the bad shard throws, so the abort must wake
-  // them and the caller must see the error instead of a deadlock.
-  lz77::TokenBlock tokens;
-  for (int k = 0; k < 2048; ++k) {
-    lz77::Sequence s;
-    s.literal_len = 1;
-    s.match_len = 4;
-    const std::uint64_t pos = static_cast<std::uint64_t>(k) * 5 + 1;  // write_pos
-    s.match_dist = pos > 801 ? 801 : static_cast<std::uint32_t>(pos);
-    if (k == 1500) s.match_dist = 1000000;  // far past the start
-    tokens.sequences.push_back(s);
-    tokens.literals.push_back('x');
-  }
-  tokens.sequences.push_back({0, 0, 0});
-  tokens.uncompressed_size = static_cast<std::uint32_t>(2048 * 5);
-
-  ThreadPool pool(4);
-  Bytes out(tokens.uncompressed_size);
-  ResolvePlan plan;
-  EXPECT_THROW(resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                                     tokens.literals.size(), out, plan, pool, nullptr,
-                                     tiny_shards()),
-               Error);
-}
-
-TEST(ResolveParallel, TinyBlocksFallBackToSerial) {
+TEST(SingleBlockDecode, TinyBlockOnPool) {
+  // A block too small to fan its lanes out still decodes right on a pool.
   const Bytes input = datagen::wikipedia(8000);
-  lz77::ParserOptions popt;
-  const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
-  ASSERT_LT(tokens.sequences.size(), 2048u);  // below one default shard
-
-  ThreadPool pool(4);
-  Bytes out(tokens.uncompressed_size);
-  ResolvePlan plan;
-  EXPECT_FALSE(resolve_block_sharded(tokens.sequences, tokens.literals.data(),
-                                     tokens.literals.size(), out, plan, pool));
-  // And the end-to-end path must agree: no resolve fan-out, right bytes.
-  CompressOptions opt;
-  const Bytes file = compress(input, opt);
+  const Bytes file = compress(input, CompressOptions{});
   DecompressOptions dopt;
   dopt.num_threads = 4;
-  const DecompressResult r = decompress(file, dopt);
-  EXPECT_EQ(r.data, input);
-  EXPECT_EQ(r.scratch.resolve_fanouts, 0u);
+  EXPECT_EQ(decompress(file, dopt).data, input);
 }
-
-TEST(ResolveParallel, WarmPlanBuffersDoNotGrow) {
-  // Steady-state claim at the arena level: resolving the same block
-  // shape twice through one plan must not grow any plan-owned buffer
-  // (shard table, pending worklists, dirty bitmaps) — the warm
-  // pass runs out of the capacities the first pass established.
-  const Bytes input = datagen::wikipedia(200000);
-  lz77::ParserOptions popt;
-  popt.dependency_elimination = true;
-  const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
-
-  ThreadPool pool(4);
-  ResolvePlan plan;
-  const ResolveShardConfig config = tiny_shards();
-  const Bytes first = resolve_sharded_or_die(tokens, pool, config, nullptr, &plan);
-  ASSERT_EQ(first, input);
-
-  std::vector<std::size_t> pending_caps;
-  std::vector<std::size_t> dirty_caps;
-  for (const auto& p : plan.shard_pending) pending_caps.push_back(p.capacity());
-  for (const auto& d : plan.shard_dirty) dirty_caps.push_back(d.capacity());
-  const std::size_t shard_cap = plan.shards.capacity();
-
-  const Bytes second = resolve_sharded_or_die(tokens, pool, config, nullptr, &plan);
-  ASSERT_EQ(second, input);
-  EXPECT_EQ(plan.shards.capacity(), shard_cap);
-  for (std::size_t s = 0; s < plan.shard_pending.size(); ++s) {
-    EXPECT_EQ(plan.shard_pending[s].capacity(), pending_caps[s]) << "shard " << s;
-  }
-  for (std::size_t s = 0; s < plan.shard_dirty.size(); ++s) {
-    EXPECT_EQ(plan.shard_dirty[s].capacity(), dirty_caps[s]) << "shard " << s;
-  }
-}
-
-// ----------------------------------------------------------------- oracle
 
 TEST(ResolveSpan, ResolvesAtAbsoluteBaseOverDonePrefix) {
   // Resolve a block serially, then re-resolve its tail span over a
-  // window whose prefix is the already-resolved output — the shard
-  // contract in miniature.
+  // window whose prefix is the already-resolved output.
   const Bytes input = datagen::wikipedia(100000);
   lz77::ParserOptions popt;
   const lz77::TokenBlock tokens = lz77::parse(input, popt, nullptr);
   const Bytes whole = lz77::decode_reference(tokens);
   ASSERT_EQ(whole, input);
 
-  // Split the sequence list at a warp-group boundary.
-  const std::size_t split = (tokens.sequences.size() / 2) / 32 * 32;
+  // Split the sequence list in the middle.
+  const std::size_t split = tokens.sequences.size() / 2;
   std::uint64_t head_lits = 0;
   std::uint64_t head_out = 0;
   for (std::size_t i = 0; i < split; ++i) {
@@ -345,6 +112,101 @@ TEST(ResolveSpan, ResolvesAtAbsoluteBaseOverDonePrefix) {
       window, head_out);
   EXPECT_EQ(written, whole.size() - head_out);
   EXPECT_EQ(window, whole);
+}
+
+/// Byte-at-a-time LZ77 resolution from window[out] on: the semantics the
+/// wild-copy kernel must reproduce.
+void resolve_bytewise(std::span<const lz77::Sequence> sequences,
+                      const std::uint8_t* literals, std::uint8_t* window,
+                      std::uint64_t out) {
+  for (const lz77::Sequence& seq : sequences) {
+    for (std::uint32_t i = 0; i < seq.literal_len; ++i) window[out++] = *literals++;
+    for (std::uint32_t i = 0; i < seq.match_len; ++i, ++out) {
+      window[out] = window[out - seq.match_dist];
+    }
+  }
+}
+
+TEST(ResolveSpan, WildCopyStaysInsideWindowAndLiterals) {
+  // Every copy shape the kernel special-cases (memset, copy_backref for
+  // distances 2-15, 16-byte chunks from 16 on, overlapping or not) at
+  // every offset from the window end (0-40 bytes after the sequence) and
+  // from the literal buffer's end (0-20 bytes after the run), so both
+  // sides of the window and literal room checks run. The window is a
+  // sub-span of a larger buffer with guard bytes on each side, and the
+  // literal buffer is an exact-size allocation, so a write past the
+  // window shows in the guards and a read past the literals under ASan.
+  // In a valid span the literals left never exceed the window left, so
+  // the cases up to the window check's flip (tail 16) also run with
+  // surplus literals, rejected at the end as a count mismatch: only the
+  // window room check then keeps the writes inside.
+  constexpr std::size_t kGuard = 64;
+  std::vector<std::uint32_t> dists;
+  for (std::uint32_t d = 1; d <= 33; ++d) dists.push_back(d);
+  dists.push_back(64);
+  dists.push_back(4096);
+  std::vector<std::uint32_t> match_lens;
+  for (std::uint32_t m = 1; m <= 40; ++m) match_lens.push_back(m);
+  match_lens.push_back(255);
+  const std::uint32_t literal_runs[] = {0, 1, 15, 16, 17, 40};
+
+  std::uint32_t rng = 12345;
+  const auto next_byte = [&rng] {
+    rng = rng * 1664525u + 1013904223u;
+    return static_cast<std::uint8_t>(rng >> 24);
+  };
+  std::uint64_t cases = 0;
+  std::uint64_t base_cases_at_window_end = 0;
+  Bytes buf;
+  for (const std::uint32_t dist : dists) {
+    for (const std::uint32_t match_len : match_lens) {
+      for (const std::uint32_t lit : literal_runs) {
+        for (std::uint32_t tail = 0; tail <= 40; ++tail) {
+          // Literals left after the run; the trailing sequence consumes
+          // them and fills the window's last `tail` bytes.
+          const std::uint32_t lit_tail = tail % 21;
+          // Alternate between resolving over an already-done prefix
+          // (base > 0) and writing that prefix as a leading literal run.
+          const bool at_base = (++cases & 1) != 0;
+          const std::uint32_t prefix = dist + 7;
+          std::vector<lz77::Sequence> seqs;
+          if (!at_base) seqs.push_back({prefix, 0, 0});
+          seqs.push_back({lit, match_len, dist});
+          const std::uint32_t tail_match = tail - lit_tail;
+          seqs.push_back({lit_tail, tail_match, tail_match != 0 ? 5u : 0u});
+
+          for (const std::uint32_t surplus : {0u, 32u}) {
+            if (surplus != 0 && tail > 16) continue;
+            Bytes literals((at_base ? 0 : prefix) + lit + lit_tail + surplus);
+            for (auto& b : literals) b = next_byte();
+            const std::size_t window_size = prefix + lit + match_len + tail;
+            buf.assign(window_size + 2 * kGuard, 0xA5);
+            const std::uint64_t base = at_base ? prefix : 0;
+            for (std::uint64_t i = 0; i < base; ++i) buf[kGuard + i] = next_byte();
+            Bytes expect = buf;
+            resolve_bytewise(seqs, literals.data(), expect.data() + kGuard, base);
+
+            const MutableByteSpan window(buf.data() + kGuard, window_size);
+            if (surplus == 0) {
+              ASSERT_EQ(lz77::resolve_span(seqs, literals.data(), literals.size(),
+                                           window, base),
+                        window_size - base);
+            } else {
+              ASSERT_THROW(lz77::resolve_span(seqs, literals.data(), literals.size(),
+                                              window, base),
+                           Error);
+            }
+            ASSERT_EQ(buf, expect) << "dist " << dist << " match " << match_len
+                                   << " literals " << lit << " tail " << tail
+                                   << " literal tail " << lit_tail << " surplus "
+                                   << surplus << " at_base " << at_base;
+            if (at_base && tail == 0) ++base_cases_at_window_end;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(base_cases_at_window_end, 0u);
 }
 
 TEST(ResolveSpan, RejectsMalformedSpans) {
@@ -370,6 +232,35 @@ TEST(ResolveSpan, RejectsMalformedSpans) {
     // Base past the window.
     const lz77::Sequence seqs[] = {term};
     EXPECT_THROW(lz77::resolve_span(seqs, &lit, 0, window, 9), Error);
+  }
+  // The same faults with room for wild copies around the bad sequence,
+  // so the fast path's checks reject them rather than the exact path's.
+  Bytes big(4096);
+  const Bytes lits(64, 'b');
+  const lz77::Sequence warm{8, 8, 4};  // fast-path sequences first
+  {
+    const lz77::Sequence seqs[] = {warm, warm, {8, 8, 0}, {32, 0, 0}};
+    EXPECT_THROW(lz77::resolve_span(seqs, lits.data(), lits.size(), big, 0), Error)
+        << "distance 0";
+  }
+  {
+    // Written so far: 16 + 16 + 8 literals = 40 bytes.
+    const lz77::Sequence seqs[] = {warm, warm, {8, 8, 41}, {32, 0, 0}};
+    EXPECT_THROW(lz77::resolve_span(seqs, lits.data(), lits.size(), big, 0), Error)
+        << "distance past the bytes written";
+  }
+  {
+    // Literal buffer overrun with window room: the literal half of the
+    // fast path falls back to its exact check.
+    const lz77::Sequence seqs[] = {warm, {80, 8, 4}, term};
+    EXPECT_THROW(lz77::resolve_span(seqs, lits.data(), lits.size(), big, 0), Error)
+        << "literal buffer overrun";
+  }
+  {
+    // 8 + 8 + 8 literals consumed of 64.
+    const lz77::Sequence seqs[] = {warm, warm, warm, term};
+    EXPECT_THROW(lz77::resolve_span(seqs, lits.data(), lits.size(), big, 0), Error)
+        << "literal count mismatch";
   }
 }
 
