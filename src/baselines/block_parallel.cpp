@@ -1,6 +1,7 @@
 #include "baselines/block_parallel.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/crc32.hpp"
 #include "util/thread_pool.hpp"
@@ -13,13 +14,11 @@ constexpr std::uint32_t kFrameMagic = 0x42504C47u;  // "GLPB"
 
 void run_indexed(std::size_t count, std::size_t num_threads,
                  const std::function<void(std::size_t)>& fn) {
-  if (num_threads == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-  } else if (num_threads == 0) {
-    default_pool().parallel_for(count, fn);
+  std::unique_ptr<ThreadPool> own_pool;
+  if (ThreadPool* pool = resolve_pool(num_threads, own_pool)) {
+    pool->parallel_for(count, fn);
   } else {
-    ThreadPool pool(num_threads);
-    pool.parallel_for(count, fn);
+    for (std::size_t i = 0; i < count; ++i) fn(i);
   }
 }
 

@@ -122,4 +122,27 @@ void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc
   throw CorruptionError(e.what());
 }
 
+void decode_block_range(const format::FileHeader& header, std::size_t first,
+                        std::size_t n, ByteSpan payloads, MutableByteSpan out,
+                        bool verify_checksums, ThreadPool* pool,
+                        std::vector<BlockDecodeContext>& contexts) {
+  // Locate every block payload from the size list (inter-block
+  // parallelism needs no scanning, Fig. 3).
+  std::vector<std::size_t> offsets(n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    offsets[i + 1] = offsets[i] +
+                     static_cast<std::size_t>(header.block_compressed_sizes[first + i]);
+  }
+  check(offsets[n] == payloads.size(), "decompress: block range payload mismatch");
+  run_block_plan(pool, n, contexts,
+                 [&](BlockDecodeContext& ctx, std::size_t i, ThreadPool* lane_pool) {
+                   const std::size_t out_begin = i * header.block_size;
+                   decode_block_at(
+                       header, payloads.subspan(offsets[i], offsets[i + 1] - offsets[i]),
+                       out.subspan(out_begin, std::min<std::size_t>(
+                                                  header.block_size, out.size() - out_begin)),
+                       verify_checksums, ctx, lane_pool);
+                 });
+}
+
 }  // namespace gompresso::core

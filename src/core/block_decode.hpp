@@ -1,10 +1,10 @@
-// Single-block decode, shared by the batch and streaming paths.
-//
-// decompress() (whole file in RAM, core/decompressor.cpp) and the serve
-// subsystem's DecodeSession (bounded-memory random access,
-// serve/decode_session.cpp) decode the same block payloads; this is the
-// one implementation both call. A block payload is what the per-block
-// size list delimits in Fig. 3: CRC32, mode byte, then the codec body.
+// Native block decode. A block payload is what the per-block size list
+// delimits in Fig. 3: CRC32, mode byte, then the codec body.
+// decode_block_at() is the one block decode, and two native drivers call
+// it: decode_block_range() below, for bytes in RAM or arriving on a pipe
+// (decompress() calls it once, the pipe decoder in core/stream.cpp once
+// per batch), on the one block plan (run_block_plan,
+// util/thread_pool.hpp); and serve::DecodeSession, for random access.
 //
 // Decode is the paper's two phases: token decode (phase 1, one codec
 // per file) and LZ77 resolution (phase 2). Production resolves with one
@@ -13,6 +13,8 @@
 // in the simulator (sim/decompress.hpp), which shares phase 1 through
 // decode_block_tokens().
 #pragma once
+
+#include <vector>
 
 #include "core/decode_scratch.hpp"
 #include "format/header.hpp"
@@ -56,5 +58,14 @@ const lz77::TokenBlock* decode_block_tokens(const format::FileHeader& header,
 void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc,
                      MutableByteSpan out, bool verify_checksum,
                      BlockDecodeContext& ctx, ThreadPool* lane_pool = nullptr);
+
+/// The block-range decoder: decodes blocks [first, first + n), whose
+/// payloads lie back to back in `payloads`, into their back-to-back
+/// uncompressed bytes, exactly `out`. Runs the block plan over `pool`
+/// with the caller's per-participant `contexts`.
+void decode_block_range(const format::FileHeader& header, std::size_t first,
+                        std::size_t n, ByteSpan payloads, MutableByteSpan out,
+                        bool verify_checksums, ThreadPool* pool,
+                        std::vector<BlockDecodeContext>& contexts);
 
 }  // namespace gompresso::core

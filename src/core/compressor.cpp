@@ -1,7 +1,6 @@
 #include "core/compressor.hpp"
 
 #include <memory>
-#include <mutex>
 
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
@@ -146,50 +145,23 @@ Bytes compress(ByteSpan input, const CompressOptions& options, CompressStats* st
     const Bytes& encoded = *encoded_out;
     compress_obs().blocks.add(1);
     compress_obs().bytes.add(block.size());
+    // Stored block (DEFLATE's "stored" mode): incompressible blocks are
+    // emitted verbatim, bounding expansion at the mode byte + CRC.
+    const bool stored = options.allow_stored_blocks && encoded.size() >= block.size();
+    const ByteSpan body = stored ? block : ByteSpan(encoded);
     Bytes& payload = payloads[b];
-    if (options.allow_stored_blocks && encoded.size() >= block.size()) {
-      // Stored block (DEFLATE's "stored" mode): incompressible blocks are
-      // emitted verbatim, bounding expansion at the mode byte + CRC.
-      payload.reserve(5 + block.size());
-      put_u32le(payload, crc32(block));
-      payload.push_back(kBlockModeStored);
-      payload.insert(payload.end(), block.begin(), block.end());
-    } else {
-      payload.reserve(5 + encoded.size());
-      put_u32le(payload, crc32(block));
-      payload.push_back(kBlockModeCoded);
-      payload.insert(payload.end(), encoded.begin(), encoded.end());
-    }
+    payload.reserve(5 + body.size());
+    put_u32le(payload, crc32(block));
+    payload.push_back(stored ? kBlockModeStored : kBlockModeCoded);
+    payload.insert(payload.end(), body.begin(), body.end());
   };
 
-  // Thread plan (mirrors decompress): whole-block pipelining across the
-  // pool when there are multiple blocks, intra-block sub-block fan-out
-  // for a single-block input, serial otherwise. Every worker owns one
-  // pre-reserved EncodeScratch.
-  ThreadPool* pool = nullptr;
+  // The library's block plan (util/thread_pool.hpp); every participant
+  // owns one lazily reserved EncodeScratch.
   std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
-
   std::vector<core::EncodeScratch> workers;
-  if (pool == nullptr || pool->parallelism() == 1) {
-    workers.resize(1);
-    for (std::size_t b = 0; b < num_blocks; ++b) compress_one(workers[0], b, nullptr);
-  } else if (num_blocks != 1) {
-    workers.resize(pool->parallelism());
-    pool->parallel_for_worker(num_blocks, [&](std::size_t worker, std::size_t b) {
-      compress_one(workers[worker], b, nullptr);
-    });
-  } else {
-    // A single block cannot use inter-block parallelism: fan its
-    // sub-block token coding out across the pool instead.
-    workers.resize(1);
-    compress_one(workers[0], 0, pool);
-  }
+  run_block_plan(resolve_pool(options.num_threads, own_pool), num_blocks, workers,
+                 compress_one);
 
   header.block_compressed_sizes.reserve(num_blocks);
   std::size_t total_payload = 0;

@@ -1,14 +1,14 @@
-// The Gompresso decompressor: inter-block parallelism across worker
-// threads, intra-block parallelism across sub-block lanes (§III-B).
-//
-// Thread plan: with at least as many blocks as pool participants, workers
-// pull whole blocks from the common queue (the paper's inter-block
-// parallelism). A single-block file cannot use that at all, so its token
-// decode is fanned out across the pool instead, by sub-block lane (the
-// paper's warp lanes, executed as real threads); its LZ77 resolution then
-// runs the sequential wild-copy kernel. Every worker owns a DecodeScratch
-// arena and private counters, merged once at the end — the steady-state
-// block loop takes no locks and performs no heap allocations.
+// The Gompresso decompressor for a file in RAM: inter-block parallelism
+// across worker threads, intra-block parallelism across sub-block lanes
+// (§III-B). decompress() is one call to the block-range decoder
+// (core/block_decode.hpp) on the library's one block plan (run_block_plan,
+// util/thread_pool.hpp): with more than one block, workers pull whole
+// blocks from the common queue; a single-block file instead fans its
+// token decode out by sub-block lane (the paper's warp lanes, executed as
+// real threads), then resolves with the sequential wild-copy kernel.
+// Every worker owns a DecodeScratch arena and private counters, merged
+// once at the end — the steady-state block loop takes no locks and
+// performs no heap allocations.
 #pragma once
 
 #include "core/decode_scratch.hpp"

@@ -2,7 +2,7 @@
 
 #include <fstream>
 #include <iterator>
-#include <optional>
+#include <memory>
 
 #include "format/sniff.hpp"
 #include "ingest/gzip_backend.hpp"
@@ -70,17 +70,11 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
       ingest::GzipIndexOptions g = options.gzip;
       // The index build parallelizes on the same pool resolution the
       // session will use for decode, unless the caller pinned one.
-      std::optional<ThreadPool> own_pool;
+      std::unique_ptr<ThreadPool> own_pool;
       if (g.pool == nullptr) {
-        if (options.session.pool != nullptr) {
-          g.pool = options.session.pool;
-        } else if (options.session.num_threads == 0) {
-          g.pool = &default_pool();
-        } else if (options.session.num_threads > 1) {
-          own_pool.emplace(options.session.num_threads);
-          g.pool = &*own_pool;
-        }
-        // num_threads == 1: leave null — sequential build.
+        g.pool = options.session.pool != nullptr
+                     ? options.session.pool
+                     : resolve_pool(options.session.num_threads, own_pool);
       }
       backend = ingest::make_gzip_backend(ingest::GzipIndex::build(source, g));
       break;

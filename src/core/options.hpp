@@ -39,7 +39,9 @@ struct CompressOptions {
   /// Emit a block verbatim when the coded form would be larger
   /// (DEFLATE's "stored" mode); bounds worst-case expansion.
   bool allow_stored_blocks = true;
-  /// Worker threads for inter-block parallelism; 0 = shared default pool.
+  /// Worker threads: 0 = shared default pool, 1 = the calling thread,
+  /// n = a private pool (resolve_pool, util/thread_pool.hpp). Blocks run
+  /// on the one block plan (run_block_plan).
   std::size_t num_threads = 0;
 
   /// Validates parameter ranges; throws gompresso::Error on violation.
@@ -53,7 +55,9 @@ struct CompressOptions {
 /// decode runs one LZ77 resolver (core/block_decode.hpp); the paper's
 /// SC/MRR/DE warp algorithms live in the simulator (sim/warp_lz77.hpp).
 struct DecompressOptions {
-  /// Worker threads; 0 = shared default pool.
+  /// Worker threads: 0 = shared default pool, 1 = the calling thread,
+  /// n = a private pool (resolve_pool, util/thread_pool.hpp). Blocks run
+  /// on the one block plan (run_block_plan).
   std::size_t num_threads = 0;
   /// Verify per-block CRC32 of the decompressed output (on by default).
   bool verify_checksums = true;

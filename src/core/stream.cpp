@@ -15,6 +15,8 @@
 #include "ingest/inflate.hpp"
 #include "serve/decode_session.hpp"
 #include "util/byte_reader.hpp"
+#include "util/crc32.hpp"
+#include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso {
@@ -56,13 +58,39 @@ std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
   return total;
 }
 
-/// Sequential gzip decode for non-seekable inputs. The compressed bytes
-/// are slurped (a pipe cannot be rewound, and the chunk driver's retry
-/// protocol would re-emit already-flushed output), but the OUTPUT
+/// Output of the gzip pipe decode: checks each member's trailer as the
+/// member's last piece arrives, then writes the piece. The sink flushes
+/// at every member boundary, so a piece never straddles two members.
+struct TrailerCheckedOutput {
+  std::ostream& out;
+  const std::vector<ingest::MemberEvent>& members;  // grows as trailers parse
+  std::size_t next = 0;  // first member whose trailer is unchecked
+  std::uint64_t produced = 0;
+  std::uint64_t member_begin = 0;
+  std::uint32_t crc = 0;  // of member `next` so far
+
+  void take(ByteSpan piece) {
+    crc = crc32(piece, crc);
+    produced += piece.size();
+    for (; next < members.size() && members[next].out_offset == produced; ++next) {
+      check_corrupt(crc == members[next].crc32, "gzip: member CRC32 mismatch");
+      check_corrupt(static_cast<std::uint32_t>(produced - member_begin) ==
+                        members[next].isize,
+                    "gzip: member ISIZE mismatch");
+      crc = 0;
+      member_begin = produced;
+    }
+    write_bytes(out, piece);
+  }
+};
+
+/// Sequential gzip decode for non-seekable inputs. The whole compressed
+/// stream is buffered (a pipe cannot be rewound, and the chunk driver's
+/// retry protocol would re-emit already-flushed output), but the OUTPUT
 /// streams through a flushing sink that retains only the 32 KiB
 /// reference window — so memory is O(compressed), never
-/// O(uncompressed). Trailer CRC/ISIZE verification happens on the
-/// indexed (seekable) path; here structural damage still fails decode.
+/// O(uncompressed). Every member's trailer CRC32/ISIZE is checked as its
+/// output is flushed, as the seekable path's index build checks them.
 std::uint64_t decompress_gzip_sequential(std::istream& in, ByteSpan prefix,
                                          std::ostream& out) {
   // Slurp the rest of the pipe. The byte-exact reader that sniffed the
@@ -85,30 +113,30 @@ std::uint64_t decompress_gzip_sequential(std::istream& in, ByteSpan prefix,
 
   ingest::GrowingByteSink sink(ByteSpan(),
                                ingest::max_inflated_bytes(data.size()));
-  sink.enable_flush(
-      [](void* ctx, ByteSpan flushed) {
-        write_bytes(*static_cast<std::ostream*>(ctx), flushed);
-      },
-      &out, kStreamCopyChunk);
-  ingest::InflateScratch scratch;
   ingest::ChunkResult result;
+  TrailerCheckedOutput output{out, result.members};
+  sink.enable_flush(
+      [](void* ctx, ByteSpan piece) {
+        static_cast<TrailerCheckedOutput*>(ctx)->take(piece);
+      },
+      &output, kStreamCopyChunk);
+  ingest::InflateScratch scratch;
   const ingest::ChunkStatus status = ingest::inflate_chunk(
       ByteSpan(data.data(), data.size()), 8 * hdr_reader.offset(),
       /*stop_bit=*/8 * data.size(), /*stream_end_byte=*/data.size(), sink,
       scratch, result);
   check_corrupt(status == ingest::ChunkStatus::kEndOfStream,
                 "gzip: compressed stream truncated");
-  const std::uint64_t total = sink.produced();
   sink.finish();
-  return total;
+  return output.produced;
 }
 
 /// Decode path for non-seekable inputs (pipes): one segment header at a
-/// time through the buffered reader, then batches of blocks decoded in
-/// parallel through the same decode_block_at() the sessions use. Memory
-/// is one pool-sized batch of compressed + decoded blocks — the same
-/// O(parallelism x block) shape as a session window, never a whole
-/// segment.
+/// time through the byte-exact reader, then batches of blocks through
+/// the block-range decoder decompress() uses, on the same block plan. A
+/// batch is one pool's parallelism of blocks, so memory is one batch of
+/// compressed + decoded blocks — the same O(parallelism x block) shape
+/// as a session window, never a whole segment.
 std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
                                            const DecompressOptions& options) {
   // buffer_size 1: a pipe cannot seek back, so the reader must consume
@@ -118,21 +146,13 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
   // are the volume, go through read_exact's direct bulk path.
   util::IstreamReader reader(in, /*buffer_size=*/1);
 
-  // Same thread-plan selection as decompress(): a pipe narrows the
-  // *input* to one cursor, not the decode itself.
-  ThreadPool* pool = nullptr;
   std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_threads == 0) {
-    pool = &default_pool();
-  } else if (options.num_threads > 1) {
-    own_pool = std::make_unique<ThreadPool>(options.num_threads);
-    pool = own_pool.get();
-  }
+  ThreadPool* const pool = resolve_pool(options.num_threads, own_pool);
   const std::size_t batch = pool != nullptr ? pool->parallelism() : 1;
 
-  std::vector<core::BlockDecodeContext> ctxs(batch);
-  std::vector<Bytes> comp(batch);
-  std::vector<Bytes> decoded(batch);
+  std::vector<core::BlockDecodeContext> contexts;
+  Bytes comp;     // one batch's payloads, back to back
+  Bytes decoded;  // and their uncompressed bytes
   std::uint64_t total = 0;
   const auto decode_blocks = [&](const format::FileHeader& header) {
     // A pipe has no payload length to validate the header's sizes
@@ -143,11 +163,13 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
     check(header.block_size <= (1u << 30), "stream: implausible block size");
     for (std::size_t b = 0; b < header.num_blocks(); b += batch) {
       const std::size_t n = std::min(batch, header.num_blocks() - b);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t comp_size = header.block_compressed_sizes[b + i];
+      comp.clear();
+      std::uint64_t out_len = 0;
+      for (std::size_t i = b; i < b + n; ++i) {
+        const std::uint64_t comp_size = header.block_compressed_sizes[i];
         const std::uint64_t uncomp_len = std::min<std::uint64_t>(
-            header.block_size, header.uncompressed_size -
-                                   static_cast<std::uint64_t>(b + i) * header.block_size);
+            header.block_size,
+            header.uncompressed_size - static_cast<std::uint64_t>(i) * header.block_size);
         // Bound each block's compressed size by what any codec here
         // could plausibly emit — the worst case is well under 16x even
         // with degenerate sub-block settings — so a crafted huge size
@@ -158,31 +180,21 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
         // comp_size up front: allocation never outruns bytes actually
         // received, so a lying size fails at EOF ("truncated input")
         // with memory proportional to what was sent, not claimed.
-        comp[i].clear();
-        std::uint64_t filled = 0;
-        while (filled < comp_size) {
-          const std::size_t step = static_cast<std::size_t>(
-              std::min<std::uint64_t>(comp_size - filled, 16u << 20));
-          comp[i].resize(static_cast<std::size_t>(filled) + step);
-          reader.read_exact(MutableByteSpan(comp[i].data() + filled, step));
-          filled += step;
+        for (std::uint64_t left = comp_size; left != 0;) {
+          const std::size_t step =
+              static_cast<std::size_t>(std::min<std::uint64_t>(left, 16u << 20));
+          const std::size_t filled = comp.size();
+          comp.resize(filled + step);
+          reader.read_exact(MutableByteSpan(comp.data() + filled, step));
+          left -= step;
         }
-        decoded[i].resize(static_cast<std::size_t>(uncomp_len));
+        out_len += uncomp_len;
       }
-      const auto decode_one = [&](std::size_t worker, std::size_t i) {
-        core::decode_block_at(header, comp[i],
-                              MutableByteSpan(decoded[i].data(), decoded[i].size()),
-                              options.verify_checksums, ctxs[worker]);
-      };
-      if (n == 1 || pool == nullptr) {
-        for (std::size_t i = 0; i < n; ++i) decode_one(0, i);
-      } else {
-        pool->parallel_for_worker(n, decode_one);
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        write_bytes(out, decoded[i]);
-        total += decoded[i].size();
-      }
+      decoded.resize(static_cast<std::size_t>(out_len));
+      core::decode_block_range(header, b, n, comp, decoded, options.verify_checksums,
+                               pool, contexts);
+      write_bytes(out, decoded);
+      total += decoded.size();
     }
   };
 

@@ -8,13 +8,17 @@
 // parallelism properties (each segment is a normal block-parallel
 // container).
 //
-// Decompression rides on the serve subsystem: a seekable input gets a
-// DecodeSession (seek index + pipelined block prefetch, see
+// Decompression runs one of the two native decode drivers. A seekable
+// input gets a DecodeSession (seek index + pipelined block prefetch, see
 // serve/decode_session.hpp), so memory stays bounded by the session
-// window instead of the old whole-segment buffering. Non-seekable inputs
-// (pipes) fall back to byte-exact framing with pool-parallel decode of
-// one batch of blocks at a time — O(parallelism x block) memory. Either
-// path accepts a bare GMPZ container as well as a GMPS stream.
+// window. A non-seekable input (a pipe) is read with byte-exact framing,
+// one batch of pool-parallelism blocks at a time, each batch decoded by
+// the block-range decoder decompress() uses (core/block_decode.hpp) on
+// the same block plan — O(parallelism x block) memory, and a lone block
+// fans its sub-block lanes out. Either path accepts a bare GMPZ
+// container as well as a GMPS stream. A gzip input takes the session
+// path when seekable; on a pipe the whole compressed stream is buffered
+// while the output streams out, with every member trailer checked.
 //
 // Stream layout:
 //   u32le  magic "GMPS"

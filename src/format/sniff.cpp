@@ -20,18 +20,4 @@ ContainerKind sniff_container(ByteSpan prefix) {
   return ContainerKind::kUnknown;
 }
 
-const char* container_kind_name(ContainerKind kind) {
-  switch (kind) {
-    case ContainerKind::kGmpz:
-      return "gmpz";
-    case ContainerKind::kGmps:
-      return "gmps";
-    case ContainerKind::kGzip:
-      return "gzip";
-    case ContainerKind::kUnknown:
-      return "unknown";
-  }
-  return "unknown";
-}
-
 }  // namespace gompresso::format

@@ -44,7 +44,4 @@ enum class ContainerKind : std::uint8_t {
 /// container this library reads is shorter than 4 bytes).
 ContainerKind sniff_container(ByteSpan prefix);
 
-/// Human-readable name for diagnostics ("gmpz", "gmps", "gzip", ...).
-const char* container_kind_name(ContainerKind kind);
-
 }  // namespace gompresso::format

@@ -343,7 +343,7 @@ void GrowingByteSink::maybe_flush() {
 }
 
 void GrowingByteSink::finish() {
-  if (flush_ == nullptr || buf_.empty()) return;
+  if (flush_ == nullptr) return;
   flush_(flush_ctx_, ByteSpan(buf_.data(), buf_.size()));
   flushed_ += buf_.size();
   buf_.clear();

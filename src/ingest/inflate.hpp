@@ -163,7 +163,9 @@ class GrowingByteSink {
   /// Buffered (unflushed) bytes; the whole output when flush is off.
   Bytes& bytes() { return buf_; }
 
-  /// Flushes everything (end of stream; references are done).
+  /// Flushes everything (end of stream or member boundary: references
+  /// are done). With flushing on, the callback runs even for an empty
+  /// piece, so a consumer sees every boundary.
   void finish();
 
   void push(std::uint8_t b) {
@@ -174,9 +176,13 @@ class GrowingByteSink {
 
   void copy(std::uint32_t length, std::uint32_t distance);
 
+  /// Member boundary: references never cross it, so a flushing sink
+  /// hands over everything buffered and each flushed piece lies within
+  /// one member.
   void reset_window() {
     window_ = ByteSpan();
     member_base_ = produced();
+    finish();
   }
 
  private:

@@ -89,16 +89,10 @@ DecodeSession::DecodeSession(std::unique_ptr<ByteSource> source,
 
 void DecodeSession::init() {
   if (options_.buffer_pool != nullptr) buffers_ = options_.buffer_pool;
-  if (options_.pool != nullptr) {
-    // Shared pool (the serve daemon): concurrency and memory are bounded
-    // per pool, not per session.
-    pool_ = options_.pool;
-  } else if (options_.num_threads == 0) {
-    pool_ = &default_pool();
-  } else if (options_.num_threads > 1) {
-    own_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    pool_ = own_pool_.get();
-  }
+  // A shared pool (the serve daemon) bounds concurrency and memory per
+  // pool, not per session; otherwise num_threads picks one.
+  pool_ = options_.pool != nullptr ? options_.pool
+                                   : resolve_pool(options_.num_threads, own_pool_);
   async_ = pool_ != nullptr && pool_->async();
   window_ = async_ ? std::max<std::size_t>(1, options_.max_inflight_blocks) : 1;
   // A window beyond the block count buys nothing and would drag the

@@ -99,8 +99,9 @@ struct SessionOptions {
   /// Decoded-block LRU capacity. Rounded up to max_inflight_blocks so
   /// the prefetch window can never thrash its own output.
   std::size_t cache_blocks = 8;
-  /// Worker threads for the prefetch pipeline; 0 = shared default pool,
-  /// 1 = decode inline on the calling thread.
+  /// Worker threads for the prefetch pipeline: 0 = shared default pool,
+  /// 1 = decode inline on the calling thread, n = a private pool
+  /// (resolve_pool, util/thread_pool.hpp).
   std::size_t num_threads = 0;
   /// Verify each block's CRC32. Read by gompresso::open() when it builds
   /// the native backend; a backend passed in directly carries its own.

@@ -36,10 +36,11 @@ SimResult decompress(ByteSpan file, Strategy strategy) {
 
   SimResult result;
   result.data.resize(static_cast<std::size_t>(header.uncompressed_size));
-  ThreadPool& pool = default_pool();
-  std::vector<Worker> workers(pool.parallelism());
-  pool.parallel_for_worker(num_blocks, [&](std::size_t w, std::size_t b) {
-    Worker& worker = workers[w];
+  // The library's block plan over the shared pool. The simulator models
+  // a block's warp lanes itself, so a lone block ignores the lane pool.
+  std::vector<Worker> workers;
+  run_block_plan(&default_pool(), num_blocks, workers,
+                 [&](Worker& worker, std::size_t b, ThreadPool*) {
     const std::size_t out_begin = b * header.block_size;
     const MutableByteSpan out(
         result.data.data() + out_begin,

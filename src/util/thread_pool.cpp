@@ -236,4 +236,12 @@ ThreadPool& default_pool() {
   return pool;
 }
 
+ThreadPool* resolve_pool(std::size_t num_threads,
+                         std::unique_ptr<ThreadPool>& owned) {
+  if (num_threads == 0) return &default_pool();
+  if (num_threads == 1) return nullptr;
+  owned = std::make_unique<ThreadPool>(num_threads);
+  return owned.get();
+}
+
 }  // namespace gompresso

@@ -125,4 +125,37 @@ class ThreadPool {
 /// hardware concurrency of the host.
 ThreadPool& default_pool();
 
+/// The library's one `num_threads` convention: 0 = the shared
+/// default_pool(), 1 = the calling thread alone (nullptr), n > 1 = a
+/// private pool of n participants, created into `owned`.
+ThreadPool* resolve_pool(std::size_t num_threads,
+                         std::unique_ptr<ThreadPool>& owned);
+
+/// The library's one block plan, the paper's two levels of parallelism:
+/// whole blocks from a common queue (§III, §V-D), and a block's
+/// sub-block lanes (§III-B). Calls fn(context, block, lane_pool) for
+/// every block in [0, num_blocks): serially without a multi-participant
+/// pool; with one, whole blocks across its participants when there is
+/// more than one block (pipelining whole blocks beats lane fan-out even
+/// for fewer blocks than participants), else the lone block on the
+/// calling thread with lane_pool == pool so its lanes fan out.
+/// `contexts` is the caller's per-participant state, kept across calls
+/// and grown to the pool's parallelism; a participant runs one block at
+/// a time, so fn may mutate its context without locks.
+template <class Context, class Fn>
+void run_block_plan(ThreadPool* pool, std::size_t num_blocks,
+                    std::vector<Context>& contexts, Fn&& fn) {
+  const bool parallel = pool != nullptr && pool->parallelism() > 1;
+  const std::size_t width = parallel ? pool->parallelism() : 1;
+  if (contexts.size() < width) contexts.resize(width);
+  if (parallel && num_blocks > 1) {
+    pool->parallel_for_worker(num_blocks, [&](std::size_t worker, std::size_t b) {
+      fn(contexts[worker], b, static_cast<ThreadPool*>(nullptr));
+    });
+    return;
+  }
+  ThreadPool* lane_pool = parallel ? pool : nullptr;
+  for (std::size_t b = 0; b < num_blocks; ++b) fn(contexts[0], b, lane_pool);
+}
+
 }  // namespace gompresso

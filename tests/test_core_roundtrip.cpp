@@ -1,14 +1,15 @@
 // Parameterized end-to-end round-trip sweep over the compressor's
 // configuration space (codec x DE x block size x window x sub-block size
 // x CWL) and datasets, plus option validation. The sweep also checks that
-// every decoder — production decompress() serial, block-parallel (with
-// block ends off 16-byte boundaries) and single-block lane fan-out, open()
-// sessions, and the warp simulator under each strategy — writes the same
-// bytes.
+// every decoder — production decompress() and the pipe path, serial,
+// block-parallel (with block ends off 16-byte boundaries) and single-block
+// lane fan-out, open() sessions, and the warp simulator under each
+// strategy — writes the same bytes.
 #include <gtest/gtest.h>
 
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
+#include "sequential_buf.hpp"
 #include "sim/decompress.hpp"
 
 namespace gompresso {
@@ -24,26 +25,33 @@ Bytes dataset(int which, std::size_t n) {
 }
 
 /// Every decoder must reproduce `input` from `file` (compressed with
-/// `opt`): production decompress() at 1 and 4 threads, the same input at
-/// a 4093-byte block size at 4 threads (block ends fall off 16-byte
-/// boundaries while neighbouring blocks resolve into the same buffer, so
-/// a wild copy past a block end would clobber a neighbour or race with
-/// it under TSan), the same input as one block at 4 threads (phase-1 lane
-/// fan-out), open() + read(), and sim::decompress under every strategy
-/// the stream admits.
+/// `opt`): production decompress() and the pipe path (decompress_stream
+/// on a non-seekable buffer) at 1 and 4 threads, for the file and for
+/// the same input as one block (phase-1 lane fan-out at 4 threads); the
+/// same input at a 4093-byte block size at 4 threads (block ends fall
+/// off 16-byte boundaries while neighbouring blocks resolve into the
+/// same buffer, so a wild copy past a block end would clobber a
+/// neighbour or race with it under TSan); open() + read(); and
+/// sim::decompress under every strategy the stream admits.
 void expect_decoders_agree(const Bytes& input, const Bytes& file, CompressOptions opt) {
-  DecompressOptions four;
-  four.num_threads = 4;
+  CompressOptions single = opt;
+  single.block_size = 512 * 1024;  // > input: exactly one block
+  const Bytes single_file = compress(input, single);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     DecompressOptions dopt;
     dopt.num_threads = threads;
-    EXPECT_EQ(decompress(file, dopt).data, input) << "threads=" << threads;
+    for (const Bytes* f : {&file, &single_file}) {
+      const char* which = f == &file ? "file" : "single block";
+      EXPECT_EQ(decompress(*f, dopt).data, input) << which << ", threads=" << threads;
+      EXPECT_EQ(testing::decompress_pipe(*f, dopt), input)
+          << "pipe, " << which << ", threads=" << threads;
+    }
   }
+  DecompressOptions four;
+  four.num_threads = 4;
   CompressOptions odd = opt;
   odd.block_size = 4093;
   EXPECT_EQ(decompress(compress(input, odd), four).data, input) << "4093-byte blocks";
-  opt.block_size = 512 * 1024;  // > input: exactly one block
-  EXPECT_EQ(decompress(compress(input, opt), four).data, input) << "single block";
 
   const auto session = gompresso::open(serve::memory_source(file));
   Bytes got(input.size() + 1);
@@ -229,29 +237,42 @@ TEST(Options, StrategyNames) {
 }
 
 TEST(IntraBlock, SingleBlockScalesAcrossSubblocks) {
-  // One block, many threads: decompression must take the intra-block
-  // path (sub-block lanes fanned out across the pool) and produce the
-  // same bytes as the serial path — for every codec, since the tans and
-  // byte codecs ride the same lane-pool path as the bit codec.
-  const Bytes input = datagen::wikipedia(300000);
+  // The block plan, on both the compress and decompress side: a block's
+  // sub-block lanes fan out across the pool (lane_fanouts == 1) exactly
+  // when there is one block and a multi-participant pool — for every
+  // codec, since the tans and byte codecs ride the same lane-pool path
+  // as the bit codec. Every other shape runs whole blocks. The bytes
+  // agree at every shape, and compress() output is identical at every
+  // thread count.
+  constexpr std::uint32_t kBlock = 64 * 1024;
+  const Bytes text = datagen::wikipedia(5 * kBlock);
   for (const Codec codec : {Codec::kBit, Codec::kTans, Codec::kByte}) {
-    CompressOptions opt;
-    opt.codec = codec;
-    opt.block_size = 512 * 1024;  // > input: exactly one block
-    const Bytes file = compress(input, opt);
+    for (const std::size_t blocks : {0, 1, 2, 5}) {
+      const Bytes input(text.begin(), text.begin() + static_cast<long>(blocks * kBlock));
+      Bytes serial_file;
+      for (const std::size_t threads : {1, 2, 4}) {
+        const std::string shape = "codec " + std::to_string(static_cast<int>(codec)) +
+                                  ", " + std::to_string(blocks) + " blocks, " +
+                                  std::to_string(threads) + " threads";
+        CompressOptions opt;
+        opt.codec = codec;
+        opt.block_size = kBlock;
+        opt.num_threads = threads;
+        CompressStats stats;
+        const Bytes file = compress(input, opt, &stats);
+        if (threads == 1) serial_file = file;
+        EXPECT_EQ(file, serial_file) << shape;
 
-    DecompressOptions dopt;
-    dopt.num_threads = 4;
-    const DecompressResult parallel = decompress(file, dopt);
-    EXPECT_EQ(parallel.data, input);
-    EXPECT_EQ(parallel.scratch.lane_fanouts, 1u)
-        << "codec " << static_cast<int>(codec)
-        << ": single block + 4 threads must fan out lanes";
+        DecompressOptions dopt;
+        dopt.num_threads = threads;
+        const DecompressResult result = decompress(file, dopt);
+        EXPECT_EQ(result.data, input) << shape;
 
-    dopt.num_threads = 1;
-    const DecompressResult serial = decompress(file, dopt);
-    EXPECT_EQ(serial.data, input);
-    EXPECT_EQ(serial.scratch.lane_fanouts, 0u);
+        const std::uint64_t fanouts = blocks == 1 && threads > 1 ? 1 : 0;
+        EXPECT_EQ(stats.scratch.lane_fanouts, fanouts) << "compress, " << shape;
+        EXPECT_EQ(result.scratch.lane_fanouts, fanouts) << "decompress, " << shape;
+      }
+    }
   }
 }
 

@@ -43,6 +43,7 @@
 #include "ingest/gzip_format.hpp"
 #include "ingest/gzip_index.hpp"
 #include "ingest/inflate.hpp"
+#include "sequential_buf.hpp"
 #include "serve/fault_source.hpp"
 #include "util/crc32.hpp"
 #include "util/varint.hpp"
@@ -167,17 +168,7 @@ Bytes system_gzip(const Bytes& input, const char* tag) {
   return out;
 }
 
-/// A streambuf that cannot seek (pubseekoff keeps the std::streambuf
-/// default of failing), modelling a pipe (same idiom as test_stream).
-class SequentialBuf : public std::streambuf {
- public:
-  explicit SequentialBuf(std::string data) : data_(std::move(data)) {
-    setg(data_.data(), data_.data(), data_.data() + data_.size());
-  }
-
- private:
-  std::string data_;
-};
+using testing::SequentialBuf;
 
 // ------------------------------------------------------------- sniffer
 
@@ -263,17 +254,28 @@ TEST(IngestGzip, HeaderCrc16MismatchIsCorruption) {
 }
 
 TEST(IngestGzip, LyingTrailerIsCorruption) {
-  const Bytes input = datagen::wikipedia(3000);
-  const Bytes good = gzip_store_member(ByteSpan(input.data(), input.size()));
-  {
-    Bytes bad = good;
-    bad[bad.size() - 2] ^= 0x40;  // ISIZE
-    EXPECT_THROW(decode_gzip(ByteSpan(bad.data(), bad.size())), CorruptionError);
-  }
-  {
-    Bytes bad = good;
-    bad[bad.size() - 6] ^= 0x01;  // CRC32
-    EXPECT_THROW(decode_gzip(ByteSpan(bad.data(), bad.size())), CorruptionError);
+  // Both inputs check every member's trailer: the indexed (seekable)
+  // path and the pipe. The two-member case puts the lie behind a first
+  // member larger than the pipe's 1 MiB flush chunk, so the pipe has
+  // already flushed output when the lying trailer arrives.
+  const Bytes small = datagen::wikipedia(3000);
+  const Bytes large = datagen::wikipedia(kStreamCopyChunk + 300000);
+  const Bytes one = gzip_store_member(ByteSpan(small.data(), small.size()));
+  Bytes two = gzip_store_member(ByteSpan(large.data(), large.size()));
+  two.insert(two.end(), one.begin(), one.end());
+  Bytes both = large;
+  both.insert(both.end(), small.begin(), small.end());
+  ASSERT_EQ(testing::decompress_pipe(ByteSpan(two.data(), two.size())), both);
+
+  for (const Bytes& good : {one, two}) {
+    for (const std::size_t back : {std::size_t{2}, std::size_t{6}}) {  // ISIZE, CRC32
+      Bytes bad = good;
+      bad[bad.size() - back] ^= 0x40;
+      const ByteSpan span(bad.data(), bad.size());
+      EXPECT_THROW(decode_gzip(span), CorruptionError) << "seekable, byte -" << back;
+      EXPECT_THROW(testing::decompress_pipe(span), CorruptionError)
+          << "pipe, byte -" << back;
+    }
   }
 }
 

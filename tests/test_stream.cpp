@@ -8,6 +8,7 @@
 #include "core/stream.hpp"
 #include "datagen/datasets.hpp"
 #include "format/header.hpp"
+#include "sequential_buf.hpp"
 
 namespace gompresso {
 namespace {
@@ -107,18 +108,7 @@ TEST(Stream, RejectsChunkSmallerThanBlock) {
   EXPECT_THROW(compress_stream(in, compressed, opt, 1024), Error);
 }
 
-/// A streambuf that reads from a string but cannot seek (pubseekoff
-/// keeps the std::streambuf default of failing), modelling a pipe. It
-/// drives the sequential block-at-a-time decode path.
-class SequentialBuf : public std::streambuf {
- public:
-  explicit SequentialBuf(std::string data) : data_(std::move(data)) {
-    setg(data_.data(), data_.data(), data_.data() + data_.size());
-  }
-
- private:
-  std::string data_;
-};
+using testing::SequentialBuf;
 
 TEST(Stream, NonSeekableInputUsesSequentialBoundedPath) {
   const Bytes input = datagen::wikipedia(400000);
