@@ -41,7 +41,11 @@ namespace legacy {
 // ---------------------------------------------------------------------
 // Pre-fast-path reference decoder, kept compilable forever so the
 // speedup is re-measured on the current machine instead of trusting a
-// number recorded on someone else's hardware.
+// number recorded on someone else's hardware. The seed functions the
+// timing gates compare against are pinned to 64-byte alignment: their
+// hot loops then keep their cache-line and fetch-block placement when an
+// unrelated edit shifts code in this binary (a 16-byte shift of the tans
+// copy once moved its gate's abort rate from 2/12 to 9/12 runs).
 // ---------------------------------------------------------------------
 
 /// The old BitReader: 8-bit-at-a-time accumulator refill with a
@@ -134,7 +138,8 @@ class DecoderV0 {
 
 /// The old decode_block_bit: fresh vectors per block, lookup ->
 /// decode_length() -> extra-bits call chain per match token.
-lz77::TokenBlock decode_block_bit_v0(ByteSpan payload, const core::BitCodecConfig& config) {
+[[gnu::aligned(64)]] lz77::TokenBlock decode_block_bit_v0(
+    ByteSpan payload, const core::BitCodecConfig& config) {
   using namespace gompresso::core;
   struct SubblockInfo {
     std::uint64_t bits = 0;
@@ -208,9 +213,9 @@ lz77::TokenBlock decode_block_bit_v0(ByteSpan payload, const core::BitCodecConfi
 /// 32-sequence group (LaneArray copies included), zero-initialised group
 /// state, byte-wise overlap copies, and per-block metrics merged after
 /// every block — exactly the seed implementation.
-void resolve_block_de_v0(std::span<const lz77::Sequence> sequences,
-                         const std::uint8_t* literals, std::size_t literal_count,
-                         MutableByteSpan out, simt::WarpMetrics* metrics) {
+[[gnu::aligned(64)]] void resolve_block_de_v0(
+    std::span<const lz77::Sequence> sequences, const std::uint8_t* literals,
+    std::size_t literal_count, MutableByteSpan out, simt::WarpMetrics* metrics) {
   using simt::kWarpSize;
   using simt::LaneArray;
 
@@ -316,7 +321,7 @@ void resolve_block_de_v0(std::span<const lz77::Sequence> sequences,
 /// Model::decode_stream, models rebuilt from scratch per block, serial
 /// lane loop — exactly the PR-2-era implementation, kept compilable so
 /// the tans speedup is re-measured on the current machine.
-lz77::TokenBlock decode_block_tans_v0(ByteSpan payload) {
+[[gnu::aligned(64)]] lz77::TokenBlock decode_block_tans_v0(ByteSpan payload) {
   using namespace gompresso::core;
   struct SubblockInfo {
     std::uint32_t n_sequences = 0;
@@ -752,19 +757,17 @@ int main(int argc, char** argv) {
   std::printf("metrics-off/metrics-on decode ratio: %.3fx (gate: >= 0.98x)\n",
               obs_ratio);
 
-  // Write the trajectory before the timing gates so the JSON artifact
-  // survives a gate failure (CI treats the timing gates as warnings on
-  // shared runners; the deterministic gates above remain hard).
+  // Record every timing gate, then write the trajectory before checking
+  // them, so the JSON artifact names each gate's outcome even when one
+  // fails (CI treats the timing gates as warnings on shared runners; the
+  // deterministic gates above remain hard).
+  report.add_gate("pipeline/bit/DE/fast vs legacy-v0", speedup, 1.5);
+  report.add_gate("tokens/tans/fast vs legacy-v0", tans_speedup, 1.5);
+  report.add_gate("resolve/bit/DE/fast-1T vs legacy-v0", resolve_speedup, 1.05);
+  report.add_gate("obs/decode/metrics-on vs metrics-off", obs_ratio, 0.98);
+  report.add_gate("pipeline/bit/DE/single-block-2T vs 1T", e2e_speedup, 1.1,
+                  /*armed=*/multicore);
   report.write("BENCH_decode.json");
-  check(speedup >= 1.5, "bench: fast path below the 1.5x acceptance gate");
-  check(tans_speedup >= 1.5, "bench: tans fast path below the 1.5x acceptance gate");
-  check(resolve_speedup >= 1.05,
-        "bench: serial resolve below the 1.05x acceptance gate");
-  check(obs_ratio >= 0.98,
-        "bench: metrics instrumentation above the 2% overhead gate");
-  if (multicore) {
-    check(e2e_speedup >= 1.1,
-          "bench: single-block 2T decode below the 1.1x acceptance gate");
-  }
+  report.check_gates();
   return 0;
 }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
@@ -119,6 +120,12 @@ class JsonReport {
     double seconds;
     std::uint64_t bytes;
   };
+  struct Gate {
+    std::string name;
+    double value;
+    double threshold;
+    const char* status;  // "passed", "failed" or "skipped"
+  };
 
   explicit JsonReport(std::string bench, std::string dataset, int reps)
       : bench_(std::move(bench)), dataset_(std::move(dataset)), reps_(reps) {}
@@ -127,6 +134,27 @@ class JsonReport {
   /// `seconds_median` (median-of-reps) wall seconds.
   void add(const std::string& name, double seconds_median, std::uint64_t bytes) {
     entries_.push_back({name, seconds_median, bytes});
+  }
+
+  /// Records a `value >= threshold` acceptance gate. An unarmed gate
+  /// (its precondition, such as a core count, does not hold here) is
+  /// recorded as skipped and never fails.
+  void add_gate(const std::string& name, double value, double threshold,
+                bool armed = true) {
+    const char* status =
+        !armed ? "skipped" : value >= threshold ? "passed" : "failed";
+    gates_.push_back({name, value, threshold, status});
+  }
+
+  /// Throws gompresso::Error naming the first failed gate. Call after
+  /// write(), so the JSON records every gate even when one fails.
+  void check_gates() const {
+    for (const Gate& g : gates_) {
+      char msg[256];
+      std::snprintf(msg, sizeof msg, "bench: gate '%s' failed: %.3fx < %.3fx",
+                    g.name.c_str(), g.value, g.threshold);
+      check(std::strcmp(g.status, "failed") != 0, msg);
+    }
   }
 
   double mb_per_s(const Entry& e) const {
@@ -159,7 +187,20 @@ class JsonReport {
                    static_cast<unsigned long long>(e.bytes), mb_per_s(e),
                    i + 1 < entries_.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "  ]");
+    if (!gates_.empty()) {
+      std::fprintf(f, ",\n  \"gates\": [\n");
+      for (std::size_t i = 0; i < gates_.size(); ++i) {
+        const Gate& g = gates_[i];
+        std::fprintf(f,
+                     "    {\"name\": \"%s\", \"value\": %.4f, "
+                     "\"threshold\": %.4f, \"status\": \"%s\"}%s\n",
+                     escaped(g.name).c_str(), g.value, g.threshold, g.status,
+                     i + 1 < gates_.size() ? "," : "");
+      }
+      std::fprintf(f, "  ]");
+    }
+    std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::printf("wrote %s (%zu entries)\n", path.c_str(), entries_.size());
     return true;
@@ -179,6 +220,7 @@ class JsonReport {
   std::string dataset_;
   int reps_;
   std::vector<Entry> entries_;
+  std::vector<Gate> gates_;
 };
 
 /// argv shim for google-benchmark binaries (bench_micro): injects

@@ -137,10 +137,6 @@ class Model {
   unsigned table_log() const { return table_log_; }
   bool valid() const { return table_log_ != 0; }
 
-  /// On-chip footprint of the decode table (the occupancy currency of
-  /// Fig. 12's discussion).
-  std::size_t decode_table_bytes() const { return (std::size_t{1} << table_log_) * 4; }
-
  private:
   /// Validates a stream's header (start state + payload size) and returns
   /// the table-biased initial state; `bits` receives the bit payload.

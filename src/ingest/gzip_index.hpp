@@ -79,7 +79,6 @@ class GzipIndex {
   Bytes serialize() const;
   static GzipIndex deserialize(ByteSpan sidecar);
   void save(const std::string& path) const;
-  static GzipIndex load(const std::string& path);
 
   std::uint64_t total_uncompressed() const { return total_uncompressed_; }
   std::uint64_t source_size() const { return source_size_; }

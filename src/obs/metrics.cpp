@@ -10,8 +10,6 @@
 namespace gompresso::obs {
 namespace {
 
-std::atomic<std::uint64_t> g_next_registry_id{1};
-
 const char* kind_name(MetricKind k) {
   switch (k) {
     case MetricKind::kCounter: return "counter";
@@ -22,28 +20,6 @@ const char* kind_name(MetricKind k) {
 }
 
 }  // namespace
-
-thread_local std::uint64_t Registry::tls_registry_id_;
-thread_local std::atomic<std::uint64_t>* Registry::tls_slots_;
-
-Registry::Registry() : id_(g_next_registry_id.fetch_add(1)) {}
-
-Registry::~Registry() = default;
-
-std::atomic<std::uint64_t>* Registry::slots_slow() {
-  auto shard = std::make_unique<Shard>();
-  std::atomic<std::uint64_t>* slots = shard->slots.data();
-  {
-    util::MutexLock lock(mutex_);
-    shards_.push_back(std::move(shard));
-  }
-  // Cache for this thread. A stale entry for a destroyed registry can
-  // never match: ids are process-unique and never reused. Publish the
-  // slots pointer before the id: slots_fast() keys on the id.
-  tls_slots_ = slots;
-  tls_registry_id_ = id_;
-  return slots;
-}
 
 std::uint32_t Registry::register_metric(std::string_view name,
                                         std::string_view unit, MetricKind kind,
@@ -64,8 +40,8 @@ std::uint32_t Registry::register_metric(std::string_view name,
     slot = next_slot_;
     next_slot_ += width;
   }
-  descriptors_.push_back(Descriptor{std::string(name), std::string(unit), kind,
-                                    slot, width});
+  descriptors_.push_back(
+      Descriptor{std::string(name), std::string(unit), kind, slot});
   return slot;
 }
 
@@ -93,30 +69,18 @@ MetricsSnapshot Registry::snapshot() const {
     mv.unit = d.unit;
     mv.kind = d.kind;
     switch (d.kind) {
-      case MetricKind::kCounter: {
-        std::uint64_t total = 0;
-        for (const auto& sh : shards_)
-          total += sh->slots[d.slot].load(std::memory_order_relaxed);
-        mv.value = total;
+      case MetricKind::kCounter:
+        mv.value = slots_[d.slot].load(std::memory_order_relaxed);
         break;
-      }
       case MetricKind::kGauge:
         mv.gauge = gauges_[d.slot].load(std::memory_order_relaxed);
         break;
-      case MetricKind::kHistogram: {
-        for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-          std::uint64_t total = 0;
-          for (const auto& sh : shards_)
-            total += sh->slots[d.slot + b].load(std::memory_order_relaxed);
-          mv.hist.buckets[b] = total;
-        }
-        std::uint64_t sum = 0;
-        for (const auto& sh : shards_)
-          sum += sh->slots[d.slot + kHistogramBuckets].load(
-              std::memory_order_relaxed);
-        mv.hist.sum = sum;
+      case MetricKind::kHistogram:
+        for (std::size_t b = 0; b < kHistogramBuckets; ++b)
+          mv.hist.buckets[b] = slots_[d.slot + b].load(std::memory_order_relaxed);
+        mv.hist.sum =
+            slots_[d.slot + kHistogramBuckets].load(std::memory_order_relaxed);
         break;
-      }
     }
     snap.metrics.push_back(std::move(mv));
   }
@@ -124,9 +88,7 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 void Registry::reset() {
-  util::MutexLock lock(mutex_);
-  for (const auto& sh : shards_)
-    for (auto& slot : sh->slots) slot.store(0, std::memory_order_relaxed);
+  for (auto& slot : slots_) slot.store(0, std::memory_order_relaxed);
   for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
 }
 

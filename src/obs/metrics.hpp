@@ -1,20 +1,17 @@
 // Process-wide metrics registry: counters, gauges, and fixed-bucket
-// histograms with lock-free per-thread shards merged on snapshot.
+// histograms, each backed by relaxed atomics the Registry owns.
 //
 // Design mirrors the arena philosophy of the decode path: registration
 // (cold, mutex-guarded) hands out light value-type handles; the hot
-// path — Counter::add(), Histogram::record() — is an enabled-flag load,
-// a thread-local shard lookup, and one relaxed fetch_add into a
-// pre-sized atomic slot array. No mutex, no allocation, no false
-// sharing between workers in steady state. snapshot() merges every
-// shard under the registration mutex and returns a plain-value
-// MetricsSnapshot that can be serialized to JSON.
-//
-// Shards are owned by the Registry and are never freed before it, so
-// counts survive thread exit. The thread-local shard cache is keyed by
-// a process-unique registry id, so a Registry dying (tests construct
-// short-lived ones) can never alias a stale cache entry onto a new
-// Registry at a reused address.
+// path — Counter::add(), Histogram::record() — is an enabled-flag load
+// and one (histogram: two) relaxed fetch_add into a pre-sized atomic
+// slot array shared by every thread. No mutex, no allocation and no
+// per-thread state: a thread that records a metric costs nothing once
+// it exits. Every update site is block-, read- or task-granularity, so
+// the shared cache lines are cheap (bench_decode_hotpath gates the
+// overhead). snapshot() reads the arrays under the registration mutex
+// and returns a plain-value MetricsSnapshot that can be serialized to
+// JSON.
 //
 // Handles must not outlive their Registry. For the process-wide
 // obs::registry() singleton that is automatic; code that may run during
@@ -27,7 +24,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,9 +74,8 @@ class Counter {
 };
 
 /// Up/down instantaneous value (queue depth, worker occupancy). Backed
-/// by one shared atomic — not sharded, because a gauge's point-in-time
-/// reading must not be split across shards. Update sites are block- or
-/// task-granularity, so the shared cache line is acceptable.
+/// by one signed atomic in the Registry's gauge array, kept apart from
+/// the unsigned counter/histogram slots because set() overwrites it.
 class Gauge {
  public:
   Gauge() = default;
@@ -148,13 +143,13 @@ struct MetricsSnapshot {
 
 class Registry {
  public:
-  /// Slot budget per shard: every counter takes 1 slot, every histogram
-  /// kHistogramBuckets+1. One shard is ~8 KiB of atomics.
+  /// Slot budget of the registry's one counter/histogram array: every
+  /// counter takes 1 slot, every histogram kHistogramBuckets+1. The
+  /// array is ~8 KiB of atomics, one per Registry.
   static constexpr std::size_t kMaxSlots = 1024;
   static constexpr std::size_t kMaxGauges = 64;
 
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -173,25 +168,24 @@ class Registry {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Merges all shards into plain values. Safe to call concurrently
+  /// Reads every metric into plain values. Safe to call concurrently
   /// with hot-path updates (relaxed reads — each counter is internally
   /// consistent; cross-counter invariants settle once writers quiesce).
   MetricsSnapshot snapshot() const EXCLUDES(mutex_);
 
-  /// Zeroes every shard slot and gauge. Test/bench seam; callers must
+  /// Zeroes every slot and gauge. Test/bench seam; callers must
   /// quiesce writers for an exact zero.
-  void reset() EXCLUDES(mutex_);
+  void reset();
 
   // -- hot-path plumbing (public for the inline handle methods) --------
   void counter_add(std::uint32_t slot, std::uint64_t n) {
     if (!enabled()) return;
-    slots_fast()[slot].fetch_add(n, std::memory_order_relaxed);
+    slots_[slot].fetch_add(n, std::memory_order_relaxed);
   }
   void histogram_record(std::uint32_t slot, std::uint64_t v) {
     if (!enabled()) return;
-    std::atomic<std::uint64_t>* s = slots_fast();
-    s[slot + histogram_bucket(v)].fetch_add(1, std::memory_order_relaxed);
-    s[slot + kHistogramBuckets].fetch_add(v, std::memory_order_relaxed);
+    slots_[slot + histogram_bucket(v)].fetch_add(1, std::memory_order_relaxed);
+    slots_[slot + kHistogramBuckets].fetch_add(v, std::memory_order_relaxed);
   }
   void gauge_add(std::uint32_t slot, std::int64_t delta) {
     if (!enabled()) return;
@@ -203,48 +197,25 @@ class Registry {
   }
 
  private:
-  struct Shard {
-    std::array<std::atomic<std::uint64_t>, kMaxSlots> slots{};
-  };
   struct Descriptor {
     std::string name;
     std::string unit;
     MetricKind kind;
-    std::uint32_t slot;    // shard slot base (counters/histograms), or
+    std::uint32_t slot;    // slot base (counters/histograms), or
                            // gauge index (gauges)
-    std::uint32_t width;   // shard slots consumed
   };
-
-  /// Thread-local shard cache, keyed by registry id. Two primitive
-  /// zero-initialized thread_locals (not a struct with initializers):
-  /// constant-initialized TLS needs no per-thread init wrapper, so the
-  /// hit path is a plain TLS load + compare that folds into
-  /// counter_add's single-add fast path under optimization (a wrapped
-  /// dynamic-init TLS also trips UBSan's null-member check at -O1).
-  static thread_local std::uint64_t tls_registry_id_;
-  static thread_local std::atomic<std::uint64_t>* tls_slots_;
-
-  std::atomic<std::uint64_t>* slots_fast() {
-    if (tls_registry_id_ == id_) return tls_slots_;
-    return slots_slow();
-  }
-  // Registers this thread's shard (cold; the only mutex on the path).
-  std::atomic<std::uint64_t>* slots_slow() EXCLUDES(mutex_);
 
   std::uint32_t register_metric(std::string_view name, std::string_view unit,
                                 MetricKind kind, std::uint32_t width)
       EXCLUDES(mutex_);
 
-  const std::uint64_t id_;
   std::atomic<bool> enabled_{true};
-  mutable util::Mutex mutex_;  // registration, shard list, snapshot
+  mutable util::Mutex mutex_;  // registration, snapshot
   std::vector<Descriptor> descriptors_ GUARDED_BY(mutex_);
   std::uint32_t next_slot_ GUARDED_BY(mutex_) = 0;
   std::uint32_t next_gauge_ GUARDED_BY(mutex_) = 0;
-  // The vector itself (growth, element pointers) is guarded; the atomic
-  // slot arrays the elements own are updated lock-free through the TLS
-  // cache and read with relaxed loads by snapshot().
-  std::vector<std::unique_ptr<Shard>> shards_ GUARDED_BY(mutex_);
+  // Updated lock-free by the handles; snapshot() reads them relaxed.
+  std::array<std::atomic<std::uint64_t>, kMaxSlots> slots_{};
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauges_{};
 };
 

@@ -1,13 +1,16 @@
-// Tests for the observability plane: histogram bucket boundaries, the
-// per-thread shard merge (N-thread updates must snapshot identically to
-// the same work done serially), the enabled flag, trace JSON round-trip
+// Tests for the observability plane: histogram bucket boundaries,
+// concurrent updates (N-thread updates must snapshot identically to the
+// same work done serially), short-lived threads leaving no heap behind,
+// the enabled flag, trace JSON round-trip
 // through a minimal in-test JSON parser, and the reconciliation gate —
 // a traced DecodeSession sweep must emit exactly one entropy_decode and
 // one resolve span per block the session reports decoded. The
 // concurrent-readers test is the TSan target for the lock-free
 // stats()/metrics hot paths.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <map>
@@ -228,12 +231,12 @@ TEST(Histogram, PercentileReportsBucketCeilings) {
   EXPECT_EQ(empty.percentile(99), 0u);
 }
 
-// ------------------------------------------------------------ shard merge
+// ------------------------------------------------- concurrent updates
 
 TEST(Registry, ShardMergeMatchesSerialTotals) {
   // The same logical workload — 4 workers x 10k counter bumps and
   // histogram samples — must snapshot identically whether it ran on one
-  // thread or was partitioned across four (merge associativity).
+  // thread or was partitioned across four (no lost relaxed updates).
   constexpr int kWorkers = 4;
   constexpr int kPerWorker = 10000;
 
@@ -269,6 +272,39 @@ TEST(Registry, ShardMergeMatchesSerialTotals) {
   EXPECT_EQ(ha->hist.sum, hb->hist.sum);
   EXPECT_EQ(ha->hist.count(), hb->hist.count());
   EXPECT_EQ(ha->hist.buckets, hb->hist.buckets);
+}
+
+TEST(Registry, ShortLivedThreadsLeaveNoHeapBehind) {
+  // Pool threads come and go with every session, so recording a metric
+  // on a fresh thread must not allocate anything that outlives it.
+  // Threads run one at a time: the bound is per thread, not per burst.
+  constexpr int kThreads = 32;
+  obs::Registry reg;
+  const obs::Counter c = reg.counter("t.threads");
+  const obs::Histogram h = reg.histogram("t.thread_lat", "us");
+  const std::size_t heap_before = mallinfo2().uordblks;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([&] {
+      c.add(1);
+      h.record(100);
+    }).join();
+  }
+  const std::size_t heap_after = mallinfo2().uordblks;
+
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("t.threads"), static_cast<std::uint64_t>(kThreads));
+  const obs::MetricValue* lat = snap.find("t.thread_lat");
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->hist.count(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(lat->hist.sum, 100u * kThreads);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // Sanitizer runtimes replace malloc, so glibc's counters see nothing.
+  EXPECT_LT(heap_after - std::min(heap_after, heap_before), 32u * 1024u)
+      << "heap in use grew from " << heap_before << " to " << heap_after;
+#else
+  (void)heap_before;
+  (void)heap_after;
+#endif
 }
 
 TEST(Registry, DisabledRegistryCountsNothing) {
