@@ -21,11 +21,9 @@
 #include <string>
 #include <thread>
 
-#include "ans/tans.hpp"
 #include "bench/bench_util.hpp"
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
-#include "core/tans_codec.hpp"
 #include "datagen/datasets.hpp"
 #include "format/header.hpp"
 #include "huffman/code_builder.hpp"
@@ -44,7 +42,7 @@ namespace legacy {
 // number recorded on someone else's hardware. The seed functions the
 // timing gates compare against are pinned to 64-byte alignment: their
 // hot loops then keep their cache-line and fetch-block placement when an
-// unrelated edit shifts code in this binary (a 16-byte shift of the tans
+// unrelated edit shifts code in this binary (a 16-byte shift of one such
 // copy once moved its gate's abort rate from 2/12 to 9/12 runs).
 // ---------------------------------------------------------------------
 
@@ -317,77 +315,6 @@ class DecoderV0 {
   check(literal_base == literal_count, "legacy: literal count mismatch");
 }
 
-/// The pre-fan-out decode_block_tans: per-sub-block Bytes allocations via
-/// Model::decode_stream, models rebuilt from scratch per block, serial
-/// lane loop — exactly the PR-2-era implementation, kept compilable so
-/// the tans speedup is re-measured on the current machine.
-[[gnu::aligned(64)]] lz77::TokenBlock decode_block_tans_v0(ByteSpan payload) {
-  using namespace gompresso::core;
-  struct SubblockInfo {
-    std::uint32_t n_sequences = 0;
-    std::uint32_t n_literals = 0;
-    std::uint64_t record_bytes = 0;
-    std::uint64_t literal_bytes = 0;
-  };
-  std::size_t pos = 0;
-  const std::uint64_t n_seq = get_varint(payload, pos);
-  const std::uint64_t n_literals = get_varint(payload, pos);
-  const std::uint64_t n_subblocks = get_varint(payload, pos);
-  check(n_seq > 0, "legacy tans: empty block");
-  check(n_subblocks > 0 && n_subblocks <= n_seq, "legacy tans: bad sub-block count");
-
-  const ans::Model record_model = ans::Model::deserialize(payload, pos);
-  ans::Model literal_model;
-  if (n_literals > 0) literal_model = ans::Model::deserialize(payload, pos);
-
-  std::vector<SubblockInfo> table(static_cast<std::size_t>(n_subblocks));
-  std::uint64_t seq_total = 0, lit_total = 0;
-  for (auto& info : table) {
-    info.n_sequences = static_cast<std::uint32_t>(get_varint(payload, pos));
-    info.n_literals = static_cast<std::uint32_t>(get_varint(payload, pos));
-    info.record_bytes = get_varint(payload, pos);
-    info.literal_bytes = get_varint(payload, pos);
-    seq_total += info.n_sequences;
-    lit_total += info.n_literals;
-  }
-  check(seq_total == n_seq && lit_total == n_literals, "legacy tans: counts disagree");
-
-  lz77::TokenBlock block;
-  block.sequences.resize(static_cast<std::size_t>(n_seq));
-  block.literals.resize(static_cast<std::size_t>(n_literals));
-  std::size_t seq_base = 0, lit_base = 0;
-  for (const auto& info : table) {
-    check(pos + info.record_bytes + info.literal_bytes <= payload.size(),
-          "legacy tans: truncated streams");
-    const Bytes raw_records = record_model.decode_stream(
-        payload.subspan(pos, static_cast<std::size_t>(info.record_bytes)),
-        info.n_sequences * kByteRecordSize);
-    pos += static_cast<std::size_t>(info.record_bytes);
-    std::size_t rp = 0;
-    for (std::uint32_t k = 0; k < info.n_sequences; ++k) {
-      block.sequences[seq_base + k] = unpack_record(get_u32le(raw_records, rp));
-    }
-    std::uint64_t sub_lits = 0;
-    for (std::uint32_t k = 0; k < info.n_sequences; ++k) {
-      sub_lits += block.sequences[seq_base + k].literal_len;
-    }
-    check(sub_lits == info.n_literals, "legacy tans: literal count mismatch");
-    if (info.n_literals != 0) {
-      const Bytes lits = literal_model.decode_stream(
-          payload.subspan(pos, static_cast<std::size_t>(info.literal_bytes)),
-          info.n_literals);
-      std::copy(lits.begin(), lits.end(),
-                block.literals.begin() + static_cast<std::ptrdiff_t>(lit_base));
-    }
-    pos += static_cast<std::size_t>(info.literal_bytes);
-    seq_base += info.n_sequences;
-    lit_base += info.n_literals;
-  }
-  check(pos == payload.size(), "legacy tans: trailing bytes in payload");
-  block.uncompressed_size = block.computed_size();
-  return block;
-}
-
 }  // namespace legacy
 
 namespace {
@@ -434,7 +361,7 @@ int main(int argc, char** argv) {
   // dependency elimination, MRR one without (production decode resolves
   // both with the same kernel).
   std::printf("%-28s %14s\n", "configuration", "MB/s");
-  for (const Codec codec : {Codec::kByte, Codec::kBit, Codec::kTans}) {
+  for (const Codec codec : {Codec::kByte, Codec::kBit}) {
     for (const bool de : {true, false}) {
       CompressOptions copt;
       copt.codec = codec;
@@ -447,16 +374,14 @@ int main(int argc, char** argv) {
       const double sec = time_median_of(reps, [&] { result = decompress(file, dopt); });
       check(result.data == input, "bench: roundtrip mismatch");
       const std::string name = std::string("decompress/") +
-                               (codec == Codec::kByte  ? "byte"
-                                : codec == Codec::kBit ? "bit"
-                                                       : "tans") +
+                               (codec == Codec::kByte ? "byte" : "bit") +
                                (de ? "/DE" : "/MRR") + "/1T";
       report.add(name, sec, input.size());
       std::printf("%-28s %14.1f\n", name.c_str(), input.size() / 1e6 / sec);
 
       // The scratch-reuse acceptance gate, now for every codec: the
       // arena is pre-reserved from the header bound, so no block may
-      // grow a buffer — tans/byte block decode is allocation-free too.
+      // grow a buffer — byte block decode is allocation-free too.
       check(result.scratch.blocks > 0, "bench: scratch counters missing");
       check(result.scratch.blocks == result.scratch.buffer_reuses,
             "bench: decode loop allocated in the steady state");
@@ -545,61 +470,6 @@ int main(int argc, char** argv) {
   }
   std::printf("decode speedup over the pre-PR bit codec: %.2fx (gate: >= 1.5x)\n",
               speedup);
-
-  // --- tans fast path vs its pre-fan-out reference ---------------------
-  // Same shape as the bit gate: the compiled-in legacy decoder (serial
-  // lane loop, per-stream Bytes allocations) re-measures the baseline on
-  // this machine, and the rebuilt lane-parallel scratch path must beat
-  // it by >= 1.5x on the token-decode stage it replaced.
-  CompressOptions tans_opt;
-  tans_opt.codec = Codec::kTans;
-  const Bytes tans_file = compress(input, tans_opt);
-  format::FileHeader tans_header;
-  const auto tans_payloads = block_payloads(tans_file, tans_header);
-  core::TansCodecConfig tans_cfg;
-  tans_cfg.tokens_per_subblock = tans_header.tokens_per_subblock;
-
-  core::DecodeScratch tans_scratch;
-  tans_scratch.reserve(tans_header.block_size, tans_header.tokens_per_subblock,
-                       /*tans=*/true);
-  const auto run_tans_fast = [&] {
-    for (const auto payload : tans_payloads) {
-      core::decode_block_tans(payload, tans_cfg, tans_scratch);
-    }
-  };
-  const auto run_tans_legacy = [&] {
-    for (const auto payload : tans_payloads) {
-      const auto block = legacy::decode_block_tans_v0(payload);
-      (void)block;
-    }
-  };
-  const double tans_fast_sec = time_median_of(reps, run_tans_fast);
-  const double tans_legacy_sec = time_median_of(reps, run_tans_legacy);
-  report.add("tokens/tans/fast", tans_fast_sec, input.size());
-  report.add("tokens/tans/legacy-v0", tans_legacy_sec, input.size());
-  std::printf("%-28s %14.1f\n", "tokens/tans/fast", input.size() / 1e6 / tans_fast_sec);
-  std::printf("%-28s %14.1f\n", "tokens/tans/legacy-v0",
-              input.size() / 1e6 / tans_legacy_sec);
-
-  // Steady-state allocation gate on the bare tans codec (arena warm from
-  // the timed reps): one more sweep must reuse every buffer and model.
-  const core::ScratchStats tans_warm = tans_scratch.stats;
-  run_tans_fast();
-  check(tans_scratch.stats.buffer_reuses - tans_warm.buffer_reuses ==
-            tans_payloads.size(),
-        "bench: tans token decode allocated in the steady state");
-
-  double tans_speedup = tans_legacy_sec / tans_fast_sec;
-  for (int attempt = 0; attempt < 2 && tans_speedup < 1.5; ++attempt) {
-    std::printf("tans speedup %.2fx below gate — remeasuring (attempt %d)\n",
-                tans_speedup, attempt + 1);
-    const double l2 = time_median_of(reps, run_tans_legacy);
-    const double f2 = time_median_of(reps, run_tans_fast);
-    tans_speedup = std::max(tans_speedup, l2 / f2);
-  }
-  std::printf("tans token decode speedup over the pre-fan-out codec: %.2fx "
-              "(gate: >= 1.5x)\n",
-              tans_speedup);
 
   // --- phase-2 resolution stage in isolation ---------------------------
   // Decode the bit/DE file's tokens once, then time resolution alone:
@@ -762,7 +632,6 @@ int main(int argc, char** argv) {
   // fails (CI treats the timing gates as warnings on shared runners; the
   // deterministic gates above remain hard).
   report.add_gate("pipeline/bit/DE/fast vs legacy-v0", speedup, 1.5);
-  report.add_gate("tokens/tans/fast vs legacy-v0", tans_speedup, 1.5);
   report.add_gate("resolve/bit/DE/fast-1T vs legacy-v0", resolve_speedup, 1.05);
   report.add_gate("obs/decode/metrics-on vs metrics-off", obs_ratio, 0.98);
   report.add_gate("pipeline/bit/DE/single-block-2T vs 1T", e2e_speedup, 1.1,

@@ -11,7 +11,7 @@
 //
 //   * fast-path compress() >= 1.4x the legacy compress (bit codec), and
 //   * zero steady-state heap allocations per block, proven by the
-//     EncodeScratch reuse counters for all three codecs, and
+//     EncodeScratch reuse counters for both codecs, and
 //   * output bytes identical to the legacy encoder (the speedup is
 //     mechanical: same match decisions, same codes, same streams).
 //
@@ -20,11 +20,9 @@
 #include <cstring>
 #include <string>
 
-#include "ans/tans.hpp"
 #include "bench/bench_util.hpp"
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
-#include "core/tans_codec.hpp"
 #include "datagen/datasets.hpp"
 #include "huffman/code_builder.hpp"
 #include "huffman/encoder.hpp"
@@ -267,81 +265,6 @@ Bytes encode_block_bit_v0(const lz77::TokenBlock& block,
   return out;
 }
 
-/// The old encode_block_tans: per-sub-block record packing into fresh
-/// Bytes, models built with fresh table allocations, per-stream Bytes.
-Bytes encode_block_tans_v0(const lz77::TokenBlock& block,
-                           const core::TansCodecConfig& config) {
-  using namespace gompresso::core;
-  struct SubblockInfo {
-    std::uint32_t n_sequences = 0;
-    std::uint32_t n_literals = 0;
-    std::uint64_t record_bytes = 0;
-    std::uint64_t literal_bytes = 0;
-  };
-  const auto pack_all = [](const lz77::Sequence* seqs, std::size_t count) {
-    Bytes raw;
-    raw.reserve(count * kByteRecordSize);
-    for (std::size_t i = 0; i < count; ++i) put_u32le(raw, pack_record(seqs[i]));
-    return raw;
-  };
-  std::vector<std::uint64_t> record_freqs(256, 0);
-  {
-    const Bytes all = pack_all(block.sequences.data(), block.sequences.size());
-    for (const auto b : all) ++record_freqs[b];
-  }
-  const ans::Model record_model =
-      ans::Model::from_frequencies(record_freqs, config.table_log);
-  ans::Model literal_model;
-  if (!block.literals.empty()) {
-    std::vector<std::uint64_t> literal_freqs(256, 0);
-    for (const auto b : block.literals) ++literal_freqs[b];
-    literal_model = ans::Model::from_frequencies(literal_freqs, config.table_log);
-  }
-
-  std::vector<SubblockInfo> table;
-  std::vector<Bytes> streams;
-  const std::size_t n_seq = block.sequences.size();
-  const std::uint8_t* lit = block.literals.data();
-  std::size_t seq_index = 0;
-  while (seq_index < n_seq) {
-    SubblockInfo info;
-    const std::size_t count =
-        std::min<std::size_t>(config.tokens_per_subblock, n_seq - seq_index);
-    info.n_sequences = static_cast<std::uint32_t>(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      info.n_literals += block.sequences[seq_index + k].literal_len;
-    }
-    const Bytes raw_records = pack_all(block.sequences.data() + seq_index, count);
-    Bytes rec_stream = record_model.encode_stream(raw_records);
-    info.record_bytes = rec_stream.size();
-    Bytes lit_stream;
-    if (info.n_literals != 0) {
-      lit_stream = literal_model.encode_stream(ByteSpan(lit, info.n_literals));
-    }
-    info.literal_bytes = lit_stream.size();
-    lit += info.n_literals;
-    table.push_back(info);
-    streams.push_back(std::move(rec_stream));
-    streams.push_back(std::move(lit_stream));
-    seq_index += count;
-  }
-
-  Bytes out;
-  put_varint(out, n_seq);
-  put_varint(out, block.literals.size());
-  put_varint(out, table.size());
-  record_model.serialize(out);
-  if (!block.literals.empty()) literal_model.serialize(out);
-  for (const auto& info : table) {
-    put_varint(out, info.n_sequences);
-    put_varint(out, info.n_literals);
-    put_varint(out, info.record_bytes);
-    put_varint(out, info.literal_bytes);
-  }
-  for (const auto& s : streams) out.insert(out.end(), s.begin(), s.end());
-  return out;
-}
-
 /// The whole pre-PR single-thread compress() pipeline for the bit codec.
 Bytes compress_v0(ByteSpan input, const CompressOptions& options) {
   format::FileHeader header;
@@ -366,15 +289,12 @@ Bytes compress_v0(ByteSpan input, const CompressOptions& options) {
   parser_options.dependency_elimination = options.dependency_elimination;
   parser_options.group_size = simt::kWarpSize;
   parser_options.matcher.prefer_older_matches = options.prefer_older_matches;
-  if (options.codec == Codec::kByte || options.codec == Codec::kTans) {
+  if (options.codec == Codec::kByte) {
     parser_options.max_literal_run = core::kByteCodecMaxLiteralRun;
   }
   core::BitCodecConfig bit_config;
   bit_config.tokens_per_subblock = options.tokens_per_subblock;
   bit_config.codeword_limit = options.codeword_limit;
-  core::TansCodecConfig tans_config;
-  tans_config.tokens_per_subblock = options.tokens_per_subblock;
-  tans_config.table_log = options.tans_table_log;
 
   for (std::size_t b = 0; b < num_blocks; ++b) {
     const std::size_t begin = b * options.block_size;
@@ -386,9 +306,7 @@ Bytes compress_v0(ByteSpan input, const CompressOptions& options) {
     put_u32le(payload, crc32(block));
     const Bytes encoded = options.codec == Codec::kByte
                               ? core::encode_block_byte(tokens)
-                          : options.codec == Codec::kBit
-                              ? encode_block_bit_v0(tokens, bit_config)
-                              : encode_block_tans_v0(tokens, tans_config);
+                              : encode_block_bit_v0(tokens, bit_config);
     if (options.allow_stored_blocks && encoded.size() >= block.size()) {
       payload.push_back(kBlockModeStored);
       payload.insert(payload.end(), block.begin(), block.end());
@@ -432,7 +350,7 @@ int main(int argc, char** argv) {
   // --- full compress() throughput per codec, 1 thread ------------------
   std::printf("%-28s %14s\n", "configuration", "MB/s");
   Bytes fast_bit_file;
-  for (const Codec codec : {Codec::kByte, Codec::kBit, Codec::kTans}) {
+  for (const Codec codec : {Codec::kByte, Codec::kBit}) {
     CompressOptions copt;
     copt.codec = codec;
     copt.num_threads = 1;
@@ -444,10 +362,7 @@ int main(int argc, char** argv) {
     CompressStats stats;
     compress(input, copt, &stats);  // untimed run for the counter gates
     const std::string name = std::string("compress/") +
-                             (codec == Codec::kByte  ? "byte"
-                              : codec == Codec::kBit ? "bit"
-                                                     : "tans") +
-                             "/1T";
+                             (codec == Codec::kByte ? "byte" : "bit") + "/1T";
     report.add(name, sec, input.size());
     std::printf("%-28s %14.1f\n", name.c_str(), input.size() / 1e6 / sec);
 
@@ -467,24 +382,21 @@ int main(int argc, char** argv) {
   }
 
   // --- fast path vs the pre-PR reference implementation ----------------
-  // Every codec's legacy compress is measured (the README throughput
+  // Both codecs' legacy compress is measured (the README throughput
   // table and extra ratchet entries); the hard speedup gate is on the
   // bit codec.
-  for (const Codec codec : {Codec::kByte, Codec::kTans}) {
+  {
     CompressOptions lopt;
-    lopt.codec = codec;
+    lopt.codec = Codec::kByte;
     lopt.num_threads = 1;
     Bytes file;
     const double sec =
         time_median_of(reps, [&] { file = legacy::compress_v0(input, lopt); });
-    const std::string name = std::string("compress/") +
-                             (codec == Codec::kByte ? "byte" : "tans") + "/legacy-v0";
-    report.add(name, sec, input.size());
-    std::printf("%-28s %14.1f\n", name.c_str(), input.size() / 1e6 / sec);
+    report.add("compress/byte/legacy-v0", sec, input.size());
+    std::printf("%-28s %14.1f\n", "compress/byte/legacy-v0", input.size() / 1e6 / sec);
     // The mechanical-speedup contract holds codec-wide: the legacy
     // pipeline and today's compress() emit byte-identical files.
-    CompressOptions fopt = lopt;
-    check(file == compress(input, fopt),
+    check(file == compress(input, lopt),
           "bench: fast path output differs from the pre-PR encoder");
   }
   CompressOptions copt;
@@ -508,8 +420,8 @@ int main(int argc, char** argv) {
         "bench: fast path output differs from the pre-PR encoder");
   check(decompress(legacy_file).data == input, "bench: legacy roundtrip mismatch");
 
-  // Per-block identity for the other two codecs' encoders (byte's legacy
-  // encoder IS the unchanged convenience wrapper).
+  // Per-block identity for the byte codec's encoder (its legacy encoder
+  // IS the unchanged convenience wrapper).
   {
     lz77::ParserOptions popt;
     popt.dependency_elimination = true;
@@ -519,11 +431,7 @@ int main(int argc, char** argv) {
         lz77::parse_chained(ByteSpan(input.data(), std::min<std::size_t>(input.size(),
                                                                          256 * 1024)),
                             popt, 16);
-    core::TansCodecConfig tcfg;
     core::EncodeScratch scratch;
-    check(legacy::encode_block_tans_v0(tokens, tcfg) ==
-              core::encode_block_tans(tokens, tcfg, scratch),
-          "bench: tans fast encoder output differs from the pre-PR encoder");
     check(core::encode_block_byte(tokens) == core::encode_block_byte(tokens, scratch),
           "bench: byte fast encoder output differs from the wrapper");
   }
@@ -544,30 +452,25 @@ int main(int argc, char** argv) {
   // Bare-codec steady state on a persistent scratch: parse once, then a
   // warm sweep per codec must reuse every buffer (blocks == reuses).
   {
-    CompressOptions popt_opt;  // byte/tans parse domain
-    lz77::ParserOptions popt;
+    lz77::ParserOptions popt;  // the byte codec's parse domain
     popt.dependency_elimination = true;
     popt.group_size = simt::kWarpSize;
     popt.max_literal_run = core::kByteCodecMaxLiteralRun;
-    (void)popt_opt;
     std::vector<lz77::TokenBlock> blocks;
     for (std::size_t at = 0; at < input.size(); at += 256 * 1024) {
       const std::size_t len = std::min<std::size_t>(256 * 1024, input.size() - at);
       blocks.push_back(lz77::parse_chained(ByteSpan(input.data() + at, len), popt, 16));
     }
     core::EncodeScratch scratch;
-    scratch.reserve(256 * 1024, 16, /*tans=*/true);
+    scratch.reserve(256 * 1024, 16);
     core::BitCodecConfig bcfg;
-    core::TansCodecConfig tcfg;
     for (const auto& blk : blocks) {  // warm every codec's buffers
       core::encode_block_bit(blk, bcfg, scratch);
-      core::encode_block_tans(blk, tcfg, scratch);
       core::encode_block_byte(blk, scratch);
     }
     const core::EncodeScratchStats warm = scratch.stats;
     for (const auto& blk : blocks) {
       core::encode_block_bit(blk, bcfg, scratch);
-      core::encode_block_tans(blk, tcfg, scratch);
       core::encode_block_byte(blk, scratch);
     }
     check(scratch.stats.blocks - warm.blocks ==

@@ -2,7 +2,7 @@
 //
 // Usage:
 //   gomp c [options] <input> <output>    compress a file
-//   gomp d <input> <output>              decompress a file
+//   gomp d <input> <output>              decompress a file (any container)
 //   gomp info <input>                    print container metadata
 //   gomp cat [options] <input> [out]     stream-decode via a DecodeSession
 //   gomp range <input> <off> <len> [out] random-access read via a session
@@ -15,7 +15,6 @@
 //
 // Compression options:
 //   --byte            use Gompresso/Byte (default: Gompresso/Bit)
-//   --tans            use Gompresso/Tans (shared tANS models)
 //   --no-de           disable dependency elimination
 //   --block <KB>      data block size in KiB (default 256)
 //   --window <B>      sliding window in bytes, power of two (default 8192)
@@ -39,7 +38,7 @@
 // cat additionally accepts:
 //   --best-effort     zero-fill unrecoverable blocks instead of failing;
 //                     damaged extents go to stderr, exit code 1 if any
-// cat/range/verify/stats/serve accept GMPZ containers, GMPS streams,
+// d/cat/range/verify/stats/serve accept GMPZ containers, GMPS streams,
 // and gzip files alike (the container is sniffed; gzip gets the
 // rapidgzip-style parallel index, see src/ingest/). With no output
 // path the bytes go to stdout and the stats to stderr. `gomp index`
@@ -51,6 +50,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -550,8 +550,6 @@ int cmd_compress(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--byte") {
       opt.codec = Codec::kByte;
-    } else if (arg == "--tans") {
-      opt.codec = Codec::kTans;
     } else if (arg == "--no-de") {
       opt.dependency_elimination = false;
     } else if (arg == "--block" && i + 1 < argc) {
@@ -606,16 +604,29 @@ int cmd_decompress(int argc, char** argv) {
   }
   if (input_path.empty() || output_path.empty()) return usage();
 
-  const Bytes file = read_file(input_path);
+  // decompress_file() sniffs the container and streams the output, so a
+  // failure can leave a partial file behind: remove it before reporting.
   TraceGuard trace(trace_path);
   Stopwatch timer;
-  const DecompressResult result = decompress(file, opt);
+  std::uint64_t produced = 0;
+  try {
+    produced = decompress_file(input_path, output_path, opt);
+  } catch (const Error&) {
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(output_path, ec)) {
+      std::filesystem::remove(output_path, ec);
+    }
+    throw;
+  }
   const double seconds = timer.seconds();
-  trace.finish();  // decompress() joins its workers before returning
-  write_file(output_path, result.data);
-  std::printf("%s: %zu -> %zu bytes, %.2f GB/s\n", input_path.c_str(),
-              file.size(), result.data.size(),
-              gb_per_sec(result.data.size(), seconds));
+  trace.finish();  // the decode session joins its workers before returning
+  // A pipe (e.g. /dev/stdin, which takes the sequential decoder) has no
+  // size to report.
+  std::error_code ec;
+  const std::uintmax_t compressed = std::filesystem::file_size(input_path, ec);
+  const std::string from = ec ? "" : std::to_string(compressed) + " -> ";
+  std::printf("%s: %s%llu bytes, %.2f GB/s\n", input_path.c_str(), from.c_str(),
+              static_cast<unsigned long long>(produced), gb_per_sec(produced, seconds));
   return 0;
 }
 
@@ -756,9 +767,7 @@ int cmd_info(int argc, char** argv) {
   std::size_t pos = 0;
   const format::FileHeader h = format::FileHeader::deserialize(file, pos);
   std::printf("codec:               Gompresso/%s\n",
-              h.codec == Codec::kBit    ? "Bit"
-              : h.codec == Codec::kByte ? "Byte"
-                                        : "Tans");
+              h.codec == Codec::kBit ? "Bit" : "Byte");
   std::printf("dependency elim.:    %s\n", h.dependency_elimination ? "yes" : "no");
   std::printf("codeword limit:      %u bits\n", h.codeword_limit);
   std::printf("window size:         %u B\n", h.window_size);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "bitstream/bit_reader.hpp"
 #include "bitstream/bit_writer.hpp"
@@ -18,8 +19,7 @@ constexpr std::uint8_t kTagRle = 1;   // single distinct symbol
 constexpr std::uint8_t kTagCoded = 2;
 
 /// FSE-style spread: distributes symbol occurrences over the state table
-/// with the co-prime step (5/8 table + 3). Fills the caller's buffer
-/// (first 2^table_log entries) so table rebuilds stay allocation-free.
+/// with the co-prime step (5/8 table + 3).
 void spread_symbols_into(const std::vector<std::uint32_t>& norm, unsigned table_log,
                          std::uint8_t* spread) {
   const std::size_t table_size = std::size_t{1} << table_log;
@@ -37,21 +37,18 @@ void spread_symbols_into(const std::vector<std::uint32_t>& norm, unsigned table_
 
 }  // namespace
 
-namespace {
-
-/// The normalization core, writing into caller storage. `norm` must hold
-/// `count` zero-initialised entries; `remainders` must hold `count`
-/// slots. Results are identical to the original heap-returning wrapper.
-void normalize_frequencies_core(const std::uint64_t* freqs, std::size_t count,
-                                unsigned table_log, std::uint32_t* norm,
-                                std::pair<double, std::uint32_t>* remainders) {
-  const std::uint64_t total = std::accumulate(freqs, freqs + count, std::uint64_t{0});
-  if (total == 0) return;
+std::vector<std::uint32_t> normalize_frequencies(const std::vector<std::uint64_t>& freqs,
+                                                 unsigned table_log) {
+  const std::size_t count = freqs.size();
+  std::vector<std::uint32_t> norm(count, 0);
+  const std::uint64_t total = std::accumulate(freqs.begin(), freqs.end(), std::uint64_t{0});
+  if (total == 0) return norm;
   const std::uint64_t target = 1ull << table_log;
 
   // First pass: proportional share, at least 1 for present symbols.
+  std::vector<std::pair<double, std::uint32_t>> remainders;
+  remainders.reserve(count);
   std::uint64_t assigned = 0;
-  std::size_t n_rem = 0;
   for (std::size_t s = 0; s < count; ++s) {
     if (freqs[s] == 0) continue;
     const double exact = static_cast<double>(freqs[s]) * static_cast<double>(target) /
@@ -60,16 +57,15 @@ void normalize_frequencies_core(const std::uint64_t* freqs, std::size_t count,
     if (n == 0) n = 1;
     norm[s] = n;
     assigned += n;
-    remainders[n_rem++] = {exact - static_cast<double>(n),
-                           static_cast<std::uint32_t>(s)};
+    remainders.emplace_back(exact - static_cast<double>(n), static_cast<std::uint32_t>(s));
   }
   // Distribute the remainder to the symbols with the largest fractional
   // parts (or shave from the largest counts when over-assigned).
-  std::sort(remainders, remainders + n_rem,
+  std::sort(remainders.begin(), remainders.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
   std::size_t i = 0;
   while (assigned < target) {
-    norm[remainders[i % n_rem].second] += 1;
+    norm[remainders[i % remainders.size()].second] += 1;
     ++assigned;
     ++i;
   }
@@ -83,16 +79,6 @@ void normalize_frequencies_core(const std::uint64_t* freqs, std::size_t count,
     norm[best] -= 1;
     --assigned;
   }
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> normalize_frequencies(const std::vector<std::uint64_t>& freqs,
-                                                 unsigned table_log) {
-  std::vector<std::uint32_t> norm(freqs.size(), 0);
-  std::vector<std::pair<double, std::uint32_t>> remainders(freqs.size());
-  normalize_frequencies_core(freqs.data(), freqs.size(), table_log, norm.data(),
-                             remainders.data());
   return norm;
 }
 
@@ -112,83 +98,34 @@ Model Model::from_frequencies(const std::vector<std::uint64_t>& freqs,
   check(std::accumulate(m.norm_.begin(), m.norm_.end(), std::uint64_t{0}) ==
             (1ull << table_log),
         "tans: empty model");
-  m.build_tables(/*build_encoder=*/true);
+  m.build_tables();
   return m;
 }
 
-void Model::build_tables(bool build_encoder) {
+void Model::build_tables() {
   const std::size_t table_size = std::size_t{1} << table_log_;
-  // Stack scratch (16 KiB + 1 KiB worst case) keeps rebuilds heap-free.
   std::uint8_t spread[std::size_t{1} << kMaxTableLog];
   spread_symbols_into(norm_, table_log_, spread);
   std::uint32_t counter[kAlphabet];
   for (std::size_t s = 0; s < kAlphabet; ++s) counter[s] = norm_[s];
 
-  if (build_encoder) {
-    enc_offset_.assign(kAlphabet + 1, 0);
-    for (std::size_t s = 0; s < kAlphabet; ++s) {
-      enc_offset_[s + 1] = enc_offset_[s] + norm_[s];
-    }
-    enc_next_state_.assign(table_size, 0);
-  } else {
-    enc_offset_.clear();
-    enc_next_state_.clear();
+  enc_offset_.assign(kAlphabet + 1, 0);
+  for (std::size_t s = 0; s < kAlphabet; ++s) {
+    enc_offset_[s + 1] = enc_offset_[s] + norm_[s];
   }
+  enc_next_state_.assign(table_size, 0);
   dec_table_.assign(table_size, {});
 
   for (std::size_t u = 0; u < table_size; ++u) {
     const std::uint8_t s = spread[u];
     const std::uint32_t x = counter[s]++;  // in [norm[s], 2*norm[s])
-    if (build_encoder) {
-      enc_next_state_[enc_offset_[s] + (x - norm_[s])] =
-          static_cast<std::uint32_t>(u + table_size);
-    }
+    enc_next_state_[enc_offset_[s] + (x - norm_[s])] =
+        static_cast<std::uint32_t>(u + table_size);
     const unsigned nb = table_log_ - floor_log2(x);
     dec_table_[u].symbol = s;
     dec_table_[u].nb_bits = static_cast<std::uint8_t>(nb);
     dec_table_[u].new_state = static_cast<std::uint16_t>((x << nb) - table_size);
   }
-}
-
-void Model::reserve_decode(unsigned table_log) {
-  check(table_log >= kMinTableLog && table_log <= kMaxTableLog,
-        "tans: table_log out of [9, 14]");
-  norm_.reserve(kAlphabet);
-  dec_table_.reserve(std::size_t{1} << table_log);
-}
-
-bool Model::build_encode_into(const std::vector<std::uint64_t>& freqs,
-                              unsigned table_log) {
-  check(table_log >= kMinTableLog && table_log <= kMaxTableLog,
-        "tans: table_log out of [9, 14]");
-  check(freqs.size() <= kAlphabet, "tans: alphabet too large");
-  const std::size_t table_size = std::size_t{1} << table_log;
-  const bool warm = norm_.capacity() >= kAlphabet &&
-                    enc_offset_.capacity() >= kAlphabet + 1 &&
-                    enc_next_state_.capacity() >= table_size &&
-                    dec_table_.capacity() >= table_size;
-  table_log_ = table_log;
-  // Stack staging (padded counts + remainder slots) keeps the rebuild
-  // heap-free; the normalization is identical to from_frequencies.
-  std::uint64_t padded[kAlphabet] = {};
-  std::copy(freqs.begin(), freqs.end(), padded);
-  std::pair<double, std::uint32_t> remainders[kAlphabet];
-  norm_.assign(kAlphabet, 0);
-  normalize_frequencies_core(padded, kAlphabet, table_log, norm_.data(), remainders);
-  check(std::accumulate(norm_.begin(), norm_.end(), std::uint64_t{0}) ==
-            (1ull << table_log),
-        "tans: empty model");
-  build_tables(/*build_encoder=*/true);
-  return warm;
-}
-
-void Model::reserve_encode(unsigned table_log) {
-  check(table_log >= kMinTableLog && table_log <= kMaxTableLog,
-        "tans: table_log out of [9, 14]");
-  norm_.reserve(kAlphabet);
-  enc_offset_.reserve(kAlphabet + 1);
-  enc_next_state_.reserve(std::size_t{1} << table_log);
-  dec_table_.reserve(std::size_t{1} << table_log);
 }
 
 void Model::serialize(Bytes& out) const {
@@ -205,11 +142,10 @@ void Model::serialize(Bytes& out) const {
   }
 }
 
-void Model::parse_counts(ByteSpan data, std::size_t& pos) {
-  // The caller supplies the table_log out of band in the convenience
-  // format; the shared-model format stores it adjacent. To keep one code
-  // path, deserialization reads counts and infers the log from their sum.
-  norm_.assign(kAlphabet, 0);
+Model Model::deserialize(ByteSpan data, std::size_t& pos) {
+  // The counts carry no explicit table_log: it is inferred from their sum.
+  Model m;
+  m.norm_.assign(kAlphabet, 0);
   const std::uint64_t present = get_varint(data, pos);
   check(present >= 1 && present <= kAlphabet, "tans: bad symbol count");
   std::size_t sym = 0;
@@ -219,32 +155,18 @@ void Model::parse_counts(ByteSpan data, std::size_t& pos) {
     check(sym < kAlphabet, "tans: symbol out of range");
     const std::uint64_t c = get_varint(data, pos);
     check(c >= 1 && c <= (1u << kMaxTableLog), "tans: bad normalized count");
-    norm_[sym] = static_cast<std::uint32_t>(c);
+    m.norm_[sym] = static_cast<std::uint32_t>(c);
     total += c;
   }
   check(is_pow2(total) && total >= (1u << kMinTableLog) && total <= (1u << kMaxTableLog),
         "tans: normalized counts do not sum to a table size");
-  table_log_ = floor_log2(total);
-}
-
-Model Model::deserialize(ByteSpan data, std::size_t& pos) {
-  Model m;
-  m.parse_counts(data, pos);
-  m.build_tables(/*build_encoder=*/true);
+  m.table_log_ = floor_log2(total);
+  m.build_tables();
   return m;
-}
-
-bool Model::deserialize_decode_into(ByteSpan data, std::size_t& pos) {
-  const bool norm_warm = norm_.capacity() >= kAlphabet;
-  parse_counts(data, pos);
-  const bool tables_warm = dec_table_.capacity() >= (std::size_t{1} << table_log_);
-  build_tables(/*build_encoder=*/false);
-  return norm_warm && tables_warm;
 }
 
 Bytes Model::encode_stream(ByteSpan data) const {
   check(valid(), "tans: encoding with an empty model");
-  check(!enc_next_state_.empty(), "tans: model lacks encoder tables (decode-only)");
   const std::size_t table_size = std::size_t{1} << table_log_;
 
   // Encode in reverse; bits are stacked and replayed forward so the
@@ -274,44 +196,19 @@ Bytes Model::encode_stream(ByteSpan data) const {
   return out;
 }
 
-void Model::encode_stream_into(ByteSpan data, Bytes& out,
-                               EncodeStreamWorkspace& ws) const {
-  check(valid(), "tans: encoding with an empty model");
-  check(!enc_next_state_.empty(), "tans: model lacks encoder tables (decode-only)");
-  const std::size_t table_size = std::size_t{1} << table_log_;
-
-  // Encode in reverse; bits are stacked and replayed forward so the
-  // decoder can read the stream front to back. Identical to
-  // encode_stream, staging through the reusable workspace.
-  auto& bit_stack = ws.bit_stack;
-  bit_stack.clear();
-  std::uint32_t state = static_cast<std::uint32_t>(table_size);
-  for (std::size_t i = data.size(); i-- > 0;) {
-    const std::uint8_t s = data[i];
-    const std::uint32_t f = norm_[s];
-    check(f != 0, "tans: symbol absent from shared model");
-    unsigned nb = 0;
-    while ((state >> nb) >= 2 * f) ++nb;
-    bit_stack.emplace_back(state & ((1u << nb) - 1), static_cast<std::uint8_t>(nb));
-    state = enc_next_state_[enc_offset_[s] + (state >> nb) - f];
-  }
-
-  put_varint(out, state);
-  auto& bits = ws.bits;
-  for (std::size_t i = bit_stack.size(); i-- > 0;) {
-    bits.write(bit_stack[i].first, bit_stack[i].second);
-  }
-  put_varint(out, (bits.bit_count() + 7) / 8);
-  bits.flush_into(out);
-}
-
 Bytes Model::decode_stream(ByteSpan stream, std::size_t count) const {
   Bytes out(count);
   decode_stream_into(stream, out);
   return out;
 }
 
-std::uint32_t Model::parse_stream_header(ByteSpan stream, ByteSpan& bits) const {
+// For any table the build invariant gives new_state <= table_size -
+// 2^nb_bits, so new_state + read(nb_bits) < table_size always: the state
+// cannot escape the table even on corrupt bits (those are caught by the
+// overflow latch and the callers' symbol-count checks), and the decode
+// loop below needs no per-symbol bounds check.
+
+void Model::decode_stream_into(ByteSpan stream, MutableByteSpan out) const {
   check(valid(), "tans: decoding with an empty model");
   const std::size_t table_size = std::size_t{1} << table_log_;
   std::size_t pos = 0;
@@ -322,20 +219,9 @@ std::uint32_t Model::parse_stream_header(ByteSpan stream, ByteSpan& bits) const 
   // crafted size near 2^64 would wrap the sum and pass.
   const std::uint64_t stream_bytes = get_varint(stream, pos);
   check(stream_bytes <= stream.size() - pos, "tans: truncated stream");
-  bits = stream.subspan(pos, static_cast<std::size_t>(stream_bytes));
-  return static_cast<std::uint32_t>(start_state - table_size);
-}
+  BitReader bits(stream.subspan(pos, static_cast<std::size_t>(stream_bytes)));
+  std::uint32_t state = static_cast<std::uint32_t>(start_state - table_size);
 
-// For any table the build invariant gives new_state <= table_size -
-// 2^nb_bits, so new_state + read(nb_bits) < table_size always: the state
-// cannot escape the table even on corrupt bits (those are caught by the
-// overflow latch and the callers' symbol-count checks), and the decode
-// loops below need no per-symbol bounds check.
-
-void Model::decode_stream_into(ByteSpan stream, MutableByteSpan out) const {
-  ByteSpan payload;
-  std::uint32_t state = parse_stream_header(stream, payload);
-  BitReader bits(payload);
   const DecodeEntry* const table = dec_table_.data();
   std::uint8_t* o = out.data();
   std::size_t n = out.size();
@@ -357,74 +243,6 @@ void Model::decode_stream_into(ByteSpan stream, MutableByteSpan out) const {
     state = e.new_state + bits.read_unchecked(e.nb_bits);
   }
   check(!bits.overflowed(), "tans: bitstream underrun");
-}
-
-void Model::decode_streams4(const Model& model, const ByteSpan* streams,
-                            std::uint8_t* const* outs, const std::size_t* counts,
-                            int n) {
-  check(n >= 0 && n <= 4, "tans: bad stream batch size");
-  if (n < 4) {
-    // Remainder batches (at most three per lane chunk) take the
-    // single-chain kernel; the interleave only pays at full width.
-    for (int i = 0; i < n; ++i) {
-      model.decode_stream_into(streams[i], MutableByteSpan(outs[i], counts[i]));
-    }
-    return;
-  }
-
-  ByteSpan payloads[4];
-  std::uint32_t st[4];
-  for (int i = 0; i < 4; ++i) st[i] = model.parse_stream_header(streams[i], payloads[i]);
-  BitReader br[4] = {BitReader(payloads[0]), BitReader(payloads[1]),
-                     BitReader(payloads[2]), BitReader(payloads[3])};
-  const DecodeEntry* const table = model.dec_table_.data();
-  std::uint8_t* o[4] = {outs[0], outs[1], outs[2], outs[3]};
-  std::size_t rem[4] = {counts[0], counts[1], counts[2], counts[3]};
-
-  // Interleaved main loop: four independent state chains, four symbols
-  // each per refill (4 * kMaxTableLog = 56 bits, the BitReader
-  // guarantee). Runs for min(rem)/4 rounds without any per-round
-  // bookkeeping beyond the counters.
-  std::size_t rounds = std::min(std::min(rem[0], rem[1]), std::min(rem[2], rem[3])) / 4;
-  for (int i = 0; i < 4; ++i) rem[i] -= rounds * 4;
-  while (rounds-- > 0) {
-    br[0].refill();
-    br[1].refill();
-    br[2].refill();
-    br[3].refill();
-    for (int k = 0; k < 4; ++k) {
-      const DecodeEntry e0 = table[st[0]];
-      const DecodeEntry e1 = table[st[1]];
-      const DecodeEntry e2 = table[st[2]];
-      const DecodeEntry e3 = table[st[3]];
-      *o[0]++ = e0.symbol;
-      *o[1]++ = e1.symbol;
-      *o[2]++ = e2.symbol;
-      *o[3]++ = e3.symbol;
-      st[0] = e0.new_state + br[0].read_unchecked(e0.nb_bits);
-      st[1] = e1.new_state + br[1].read_unchecked(e1.nb_bits);
-      st[2] = e2.new_state + br[2].read_unchecked(e2.nb_bits);
-      st[3] = e3.new_state + br[3].read_unchecked(e3.nb_bits);
-    }
-  }
-
-  // Tails: with near-uniform lane counts (equal tokens_per_subblock)
-  // these are under four symbols each; skewed literal counts just fall
-  // back to the single-chain rate for the imbalance.
-  for (int i = 0; i < 4; ++i) {
-    std::size_t left = rem[i];
-    while (left > 0) {
-      br[i].refill();
-      const std::size_t run = left < 4 ? left : 4;
-      for (std::size_t k = 0; k < run; ++k) {
-        const DecodeEntry e = table[st[i]];
-        *o[i]++ = e.symbol;
-        st[i] = e.new_state + br[i].read_unchecked(e.nb_bits);
-      }
-      left -= run;
-    }
-    check(!br[i].overflowed(), "tans: bitstream underrun");
-  }
 }
 
 // ---------------------------------------------------------------------------

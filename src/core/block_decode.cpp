@@ -3,7 +3,6 @@
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
 #include "core/options.hpp"
-#include "core/tans_codec.hpp"
 #include "lz77/ref_decoder.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32.hpp"
@@ -59,8 +58,7 @@ const lz77::TokenBlock* decode_block_tokens(const format::FileHeader& header,
   // (not eagerly — most pool participants never run when blocks are
   // few), so no block decode ever grows a buffer.
   if (!ctx.scratch_reserved) {
-    ctx.scratch.reserve(header.block_size, header.tokens_per_subblock,
-                        header.codec == Codec::kTans);
+    ctx.scratch.reserve(header.block_size, header.tokens_per_subblock);
     ctx.scratch_reserved = true;
   }
   const lz77::TokenBlock* tokens = nullptr;
@@ -71,13 +69,8 @@ const lz77::TokenBlock* decode_block_tokens(const format::FileHeader& header,
       bit_config.tokens_per_subblock = header.tokens_per_subblock;
       bit_config.codeword_limit = header.codeword_limit;
       tokens = &decode_block_bit(payload, bit_config, ctx.scratch, lane_pool);
-    } else if (header.codec == Codec::kByte) {
-      tokens = &decode_block_byte(payload, ctx.scratch, lane_pool);
     } else {
-      TansCodecConfig tans_config;
-      tans_config.tokens_per_subblock = header.tokens_per_subblock;
-      tokens = &decode_block_tans(payload, tans_config, ctx.scratch, lane_pool,
-                                  out.size());
+      tokens = &decode_block_byte(payload, ctx.scratch, lane_pool);
     }
   }
   check_corrupt(tokens->uncompressed_size == out.size(),
@@ -113,7 +106,7 @@ void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc
   }
 } catch (const Error& e) {
   // This is the typed-error boundary for block data: the codec and
-  // resolver internals (bit/tans/byte decode, LZ77 resolution) raise
+  // resolver internals (bit/byte decode, LZ77 resolution) raise
   // plain Error on malformed payloads. Anything untyped that escapes a
   // block decode is data-level damage confined to this block; already-
   // typed failures (an IoError from a faulting mmap-backed span, say)

@@ -37,8 +37,8 @@ class ThreadPool;
 
 namespace gompresso::core {
 
-// kByteRecordSize (the 4-byte packed record width) lives in
-// core/decode_scratch.hpp, next to the scratch arena sized against it.
+/// Width of the packed little-endian record word.
+inline constexpr std::size_t kByteRecordSize = 4;
 inline constexpr std::uint32_t kByteCodecMaxLiteralRun = 8191;
 inline constexpr std::uint32_t kByteCodecMaxMatch = 65;
 inline constexpr std::uint32_t kByteCodecMaxDistance = 8192;
@@ -79,9 +79,8 @@ std::size_t max_encoded_size_byte(const lz77::TokenBlock& block);
 std::uint32_t pack_record(const lz77::Sequence& s);
 
 /// Packs `count` sequences as consecutive 4-byte little-endian records
-/// at `dst` (which must hold count * kByteRecordSize bytes). Shared by
-/// the byte codec's payload serialisation and the tans codec's record
-/// arena so the record layout lives in one place.
+/// at `dst` (which must hold count * kByteRecordSize bytes); any
+/// sub-range of the record array packs independently.
 void pack_records_into(const lz77::Sequence* seqs, std::size_t count,
                        std::uint8_t* dst);
 

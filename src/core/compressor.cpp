@@ -4,7 +4,6 @@
 
 #include "core/bit_codec.hpp"
 #include "core/byte_codec.hpp"
-#include "core/tans_codec.hpp"
 #include "lz77/deflate_tables.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32.hpp"
@@ -44,16 +43,12 @@ void CompressOptions::validate() const {
         "options: tokens_per_subblock out of range");
   check(codeword_limit >= 9 && codeword_limit <= 15, "options: CWL out of [9, 15]");
   check(match_effort >= 1, "options: match_effort must be >= 1");
-  if (codec == Codec::kByte || codec == Codec::kTans) {
-    // Both use the 4-byte packed record domain.
+  if (codec == Codec::kByte) {
+    // The 4-byte packed record domain.
     check(window_size <= core::kByteCodecMaxDistance,
-          "options: byte/tans codec requires window_size <= 8192");
+          "options: byte codec requires window_size <= 8192");
     check(max_match <= core::kByteCodecMaxMatch,
-          "options: byte/tans codec requires max_match <= 65");
-  }
-  if (codec == Codec::kTans) {
-    check(tans_table_log >= 9 && tans_table_log <= 14,
-          "options: tans_table_log out of [9, 14]");
+          "options: byte codec requires max_match <= 65");
   }
 }
 
@@ -84,31 +79,26 @@ Bytes compress(ByteSpan input, const CompressOptions& options, CompressStats* st
   parser_options.dependency_elimination = options.dependency_elimination;
   parser_options.group_size = simt::kWarpSize;
   parser_options.matcher.prefer_older_matches = options.prefer_older_matches;
-  if (options.codec == Codec::kByte || options.codec == Codec::kTans) {
+  if (options.codec == Codec::kByte) {
     parser_options.max_literal_run = core::kByteCodecMaxLiteralRun;
   }
 
   core::BitCodecConfig bit_config;
   bit_config.tokens_per_subblock = options.tokens_per_subblock;
   bit_config.codeword_limit = options.codeword_limit;
-  core::TansCodecConfig tans_config;
-  tans_config.tokens_per_subblock = options.tokens_per_subblock;
-  tans_config.table_log = options.tans_table_log;
 
   // Scratch reservation is lazy (first block a worker actually pulls):
   // a wide pool compressing a short input must not pre-touch worst-case
   // buffers for participants that never run a block. The reserve bound
   // is clamped to the input size — no block can exceed it, and a small
   // input with a huge configured block_size must not commit gigabytes.
-  const bool tans_scratch = options.codec == Codec::kTans;
   const bool bit_scratch = options.codec == Codec::kBit;
   const std::uint32_t reserve_block_size = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(options.block_size, input.size()));
   auto compress_one = [&](core::EncodeScratch& scratch, std::size_t b,
                           ThreadPool* lane_pool) {
     if (!scratch.reserved) {
-      scratch.reserve(reserve_block_size, options.tokens_per_subblock, tans_scratch,
-                      options.tans_table_log, bit_scratch);
+      scratch.reserve(reserve_block_size, options.tokens_per_subblock, bit_scratch);
       scratch.reserved = true;
     }
     const std::size_t begin = b * options.block_size;
@@ -136,11 +126,8 @@ Bytes compress(ByteSpan input, const CompressOptions& options, CompressStats* st
       encoded_out =
           options.codec == Codec::kByte
               ? &core::encode_block_byte(scratch.block, scratch, lane_pool)
-          : options.codec == Codec::kBit
-              ? &core::encode_block_bit(scratch.block, bit_config, scratch,
-                                        lane_pool)
-              : &core::encode_block_tans(scratch.block, tans_config, scratch,
-                                         lane_pool);
+              : &core::encode_block_bit(scratch.block, bit_config, scratch,
+                                        lane_pool);
     }
     const Bytes& encoded = *encoded_out;
     compress_obs().blocks.add(1);

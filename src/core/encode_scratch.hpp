@@ -5,8 +5,8 @@
 // its scratch arena; this gives the encoder the same discipline. Each
 // worker thread owns one EncodeScratch whose buffers — matcher hash/chain
 // tables, parsed token block, histograms, package-merge workspace,
-// canonical-code storage, fused emit tables, bit writers, tANS models and
-// staging buffers — are reused across every block the worker compresses.
+// canonical-code storage, fused emit tables and bit writers — are reused
+// across every block the worker compresses.
 // The matcher tables get a cheap generation reset per block (see
 // matcher.hpp) instead of a 2^hash_bits fill. After reserve(), a block
 // encode performs zero heap allocations; the counters in
@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "ans/tans.hpp"
 #include "bitstream/bit_writer.hpp"
 #include "core/encode_tables.hpp"
 #include "huffman/code_builder.hpp"
@@ -33,7 +32,7 @@ namespace gompresso::core {
 struct EncodeScratchStats {
   std::uint64_t blocks = 0;         // blocks encoded through a scratch
   std::uint64_t buffer_reuses = 0;  // blocks needing no buffer growth
-  std::uint64_t table_builds = 0;   // canonical-code / tANS-model builds
+  std::uint64_t table_builds = 0;   // canonical-code builds
   std::uint64_t matcher_inits = 0;  // matcher table (re)constructions —
                                     // steady state: 1, generation resets
                                     // cover every later block
@@ -50,12 +49,9 @@ struct EncodeScratchStats {
 };
 
 /// One sub-block's encode-side bookkeeping (the block header's size-list
-/// entry). The bit codec fills `bits`; the tans codec fills the two
-/// stream sizes.
+/// entry), filled by the bit codec.
 struct SubblockEnc {
-  std::uint64_t bits = 0;           // bit codec: compressed size in bits
-  std::uint64_t record_bytes = 0;   // tans: encoded record-stream size
-  std::uint64_t literal_bytes = 0;  // tans: encoded literal-stream size
+  std::uint64_t bits = 0;  // compressed size in bits
   std::uint32_t n_sequences = 0;
   std::uint32_t n_literals = 0;
 };
@@ -92,15 +88,6 @@ struct EncodeScratch {
   BitWriter stream;  // token bitstream
   BitWriter trees;   // nibble-packed code lengths
 
-  // -- tans codec --------------------------------------------------------
-  std::vector<std::uint8_t> record_bytes;  // packed 4-byte records
-  std::vector<std::uint64_t> record_freqs;
-  std::vector<std::uint64_t> literal_freqs;
-  ans::Model record_model;
-  ans::Model literal_model;
-  ans::EncodeStreamWorkspace ans_ws;
-  Bytes stage;  // concatenated sub-block streams (sizes go in the table)
-
   /// Returns the reusable chain matcher, (re)constructing it only when
   /// the configuration changed (counted in stats.matcher_inits; in the
   /// steady state the same matcher serves every block via its cheap
@@ -120,15 +107,13 @@ struct EncodeScratch {
   /// Pre-sizes every buffer for blocks of up to `max_block_size`
   /// uncompressed bytes, so every block encode from the first one on is
   /// allocation-free (buffer_reuses == blocks). `bit` pre-sizes the
-  /// Huffman histogram/code/emit storage and the stream writer; `tans`
-  /// the record arena, stream staging and model tables. The byte codec
-  /// needs neither (parse + payload buffers only).
+  /// Huffman histogram/code/emit storage and the stream writer; the byte
+  /// codec needs neither (parse + payload buffers only).
   void reserve(std::uint32_t max_block_size, std::uint32_t tokens_per_subblock,
-               bool tans = false, unsigned tans_table_log = ans::kMaxTableLog,
                bool bit = true) {
     // Worst-case sequence count: every non-terminator sequence covers >=
     // 3 input bytes (a match), plus the literal-run splits of the
-    // byte/tans record domain (every 8191 literals), plus terminator.
+    // byte codec's record domain (every 8191 literals), plus terminator.
     const std::size_t max_seq = max_block_size / 3 + max_block_size / 8191 + 2;
     const std::size_t max_lanes =
         max_seq / std::max<std::uint32_t>(1, tokens_per_subblock) + 1;
@@ -139,9 +124,8 @@ struct EncodeScratch {
     // Worst-case stream bits: 15 per literal (CWL cap) + 48 per match
     // token; the payload additionally holds the sub-block table (<= 24
     // bytes/lane) and the tree section.
-    // One bound covers every codec's payload: the bit codec's stream +
-    // table + trees, the tans codec's staged streams + models, and the
-    // byte codec's records + literals.
+    // One bound covers both codecs' payloads: the bit codec's stream +
+    // table + trees and the byte codec's records + literals.
     payload.reserve(2 * std::size_t{max_block_size} + 8 * max_seq + 24 * max_lanes +
                     4096);
     if (bit) {
@@ -157,24 +141,12 @@ struct EncodeScratch {
       offset_codes.reserve(kOffsetAlphabet);
       code_ws.reserve(kLitLenAlphabet, 15);
     }
-    if (tans) {
-      record_bytes.reserve(max_seq * 4);
-      record_freqs.reserve(256);
-      literal_freqs.reserve(256);
-      record_model.reserve_encode(tans_table_log);
-      literal_model.reserve_encode(tans_table_log);
-      // The largest single stream a sub-block can produce: all of a
-      // block's literals can land in one lane, so size for the block.
-      ans_ws.reserve(std::max<std::size_t>(max_block_size,
-                                           tokens_per_subblock * std::size_t{4}));
-      stage.reserve(2 * std::size_t{max_block_size} + 8 * max_seq + 16 * max_lanes);
-    }
   }
 
   /// Capacity fingerprint of every growable buffer — equal snapshots
   /// before and after a block prove the block allocated nothing (the
   /// buffer_reuses signal; package-merge workspace included).
-  using CapSnapshot = std::array<std::size_t, 25>;
+  using CapSnapshot = std::array<std::size_t, 19>;
   CapSnapshot capacities() const {
     std::size_t ws_levels = 0;
     for (const auto& l : code_ws.levels) ws_levels += l.capacity();
@@ -196,13 +168,7 @@ struct EncodeScratch {
             code_ws.levels.capacity(),
             ws_levels,
             code_ws.packages.capacity(),
-            code_ws.stack.capacity(),
-            record_bytes.capacity(),
-            record_freqs.capacity(),
-            literal_freqs.capacity(),
-            ans_ws.bit_stack.capacity(),
-            ans_ws.bits.capacity(),
-            stage.capacity()};
+            code_ws.stack.capacity()};
   }
 };
 

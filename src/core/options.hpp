@@ -25,8 +25,6 @@ struct CompressOptions {
   std::uint32_t max_match = 64;
   std::uint32_t tokens_per_subblock = 16;
   std::uint8_t codeword_limit = 10;
-  /// tANS state-table log for Codec::kTans (2^log states per model).
-  std::uint8_t tans_table_log = 11;
   bool dependency_elimination = true;
   /// Hash-chain search depth. The paper's GPU compressor uses "an
   /// exhaustive parallel matching technique" (§III-A); a chain walk of

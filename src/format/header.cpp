@@ -40,7 +40,10 @@ FileHeader FileHeader::deserialize_body(util::ByteReader& reader) {
   FileHeader h;
   check_format(reader.read_u8() == kVersion, "format: unsupported version");
   const std::uint8_t codec_byte = reader.read_u8();
-  check_format(codec_byte <= 2, "format: unknown codec");
+  // Byte 2 was Gompresso/Tans, a tANS-coded variant that is no longer
+  // part of the format: name it rather than calling it unknown.
+  check_format(codec_byte != 2, "format: codec 2 (Gompresso/Tans) is no longer supported");
+  check_format(codec_byte <= 1, "format: unknown codec");
   h.codec = static_cast<Codec>(codec_byte);
   h.dependency_elimination = reader.read_u8() != 0;
   h.codeword_limit = reader.read_u8();

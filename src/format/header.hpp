@@ -29,8 +29,6 @@ inline constexpr std::uint8_t kVersion = 1;
 enum class Codec : std::uint8_t {
   kByte = 0,  // Gompresso/Byte: fixed-width byte-aligned sequence records
   kBit = 1,   // Gompresso/Bit: two Huffman trees per block (DEFLATE-like)
-  kTans = 2,  // Gompresso/Tans: two shared tANS models per block (the
-              // paper's "alternative coding schemes" future work, §VI)
 };
 
 /// File-level metadata. All fields mirror Fig. 3's "compressed file

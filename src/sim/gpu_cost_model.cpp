@@ -30,8 +30,6 @@ double K40Model::seconds(const RunProfile& profile) const {
   double core_ns = u * lz_ns_per_byte;
   if (profile.codec == Codec::kBit) {
     core_ns += c * huffman_cost_ns_per_compressed_byte;
-  } else if (profile.codec == Codec::kTans) {
-    core_ns += c * tans_cost_ns_per_compressed_byte;
   }
   if (profile.strategy == Strategy::kMultiPass) {
     core_ns += static_cast<double>(profile.spilled_refs) * multipass_tracking_ns_per_ref;

@@ -57,10 +57,6 @@ struct K40Model {
   /// (the paper's power figures are consistent with exactly that ratio:
   /// a 17 % energy saving at 380 W vs 230 W implies a 2.0x speed-up).
   double huffman_cost_ns_per_compressed_byte = 0.16;  // ~6.3 GB/s decode
-  /// tANS decode stage (Gompresso/Tans): slightly cheaper than Huffman —
-  /// the §V-D observation about Zstd's coder class ("typically faster
-  /// than Huffman decoding").
-  double tans_cost_ns_per_compressed_byte = 0.12;
   PcieModel pcie;
 
   /// Modeled end-to-end decompression time.

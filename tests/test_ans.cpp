@@ -1,6 +1,7 @@
 // Unit and property tests for the tANS entropy coder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "ans/tans.hpp"
@@ -141,6 +142,48 @@ TEST(Tans, RejectsBadTableLog) {
   EXPECT_THROW(encode(Bytes(10, 'a'), 20), Error);
 }
 
+TEST(TansModel, SharedModelStreamsRoundTrip) {
+  const Bytes data = datagen::wikipedia(50000);
+  std::vector<std::uint64_t> freqs(256, 0);
+  for (const auto b : data) ++freqs[b];
+  const Model model = Model::from_frequencies(freqs, 11);
+
+  // Many independent streams against one model.
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{100}, std::size_t{7777}}) {
+    for (std::size_t at = 0; at + chunk <= data.size(); at += 9973) {
+      const ByteSpan piece(data.data() + at, chunk);
+      const Bytes stream = model.encode_stream(piece);
+      const Bytes back = model.decode_stream(stream, chunk);
+      ASSERT_TRUE(std::equal(back.begin(), back.end(), piece.begin()));
+    }
+  }
+}
+
+TEST(TansModel, SerializeRoundTrip) {
+  std::vector<std::uint64_t> freqs(256, 0);
+  freqs['x'] = 1000;
+  freqs['y'] = 300;
+  freqs['z'] = 1;
+  const Model model = Model::from_frequencies(freqs, 10);
+  Bytes buf;
+  model.serialize(buf);
+  std::size_t pos = 0;
+  const Model back = Model::deserialize(buf, pos);
+  EXPECT_EQ(pos, buf.size());
+  EXPECT_EQ(back.table_log(), 10u);
+  const Bytes msg = {'x', 'y', 'x', 'z', 'x', 'y'};
+  EXPECT_EQ(back.decode_stream(model.encode_stream(msg), msg.size()), msg);
+}
+
+TEST(TansModel, RejectsForeignSymbols) {
+  std::vector<std::uint64_t> freqs(256, 0);
+  freqs['a'] = 10;
+  freqs['b'] = 10;
+  const Model model = Model::from_frequencies(freqs, 9);
+  const Bytes msg = {'a', 'c'};
+  EXPECT_THROW(model.encode_stream(msg), Error);
+}
+
 TEST(TansModelFastPath, DecodeIntoMatchesDecodeStream) {
   const Bytes data = datagen::wikipedia(30000);
   std::vector<std::uint64_t> freqs(256, 0);
@@ -154,71 +197,6 @@ TEST(TansModelFastPath, DecodeIntoMatchesDecodeStream) {
     model.decode_stream_into(stream, out);
     EXPECT_TRUE(std::equal(out.begin(), out.end(), piece.begin())) << "n=" << n;
   }
-}
-
-TEST(TansModelFastPath, QuadBatchMatchesSingleStreamDecode) {
-  const Bytes data = datagen::wikipedia(60000);
-  std::vector<std::uint64_t> freqs(256, 0);
-  for (const auto b : data) ++freqs[b];
-  const Model model = Model::from_frequencies(freqs, 11);
-
-  // Deliberately skewed counts so the interleaved kernel's tails and the
-  // sub-width remainder path both run.
-  const std::size_t counts[4] = {1000, 3, 0, 777};
-  Bytes streams_store[4];
-  ByteSpan streams[4];
-  Bytes outs_store[4];
-  std::uint8_t* outs[4];
-  std::size_t at = 0;
-  for (int i = 0; i < 4; ++i) {
-    streams_store[i] = model.encode_stream(ByteSpan(data.data() + at, counts[i]));
-    streams[i] = streams_store[i];
-    outs_store[i].assign(counts[i], 0xEE);
-    outs[i] = outs_store[i].data();
-    at += counts[i];
-  }
-  for (const int width : {4, 2, 0}) {
-    Model::decode_streams4(model, streams, outs, counts, width);
-    at = 0;
-    for (int i = 0; i < width; ++i) {
-      EXPECT_TRUE(std::equal(outs_store[i].begin(), outs_store[i].end(),
-                             data.begin() + static_cast<std::ptrdiff_t>(at)))
-          << "width=" << width << " stream " << i;
-      at += counts[i];
-    }
-  }
-  EXPECT_THROW(Model::decode_streams4(model, streams, outs, counts, 5), Error);
-}
-
-TEST(TansModelFastPath, DeserializeDecodeIntoReusesBuffers) {
-  std::vector<std::uint64_t> freqs(256, 0);
-  freqs['a'] = 900;
-  freqs['b'] = 90;
-  freqs['c'] = 9;
-  const Model original = Model::from_frequencies(freqs, 10);
-  Bytes buf;
-  original.serialize(buf);
-  const Bytes msg = {'a', 'b', 'a', 'c', 'a', 'a', 'b'};
-  const Bytes stream = original.encode_stream(msg);
-
-  Model scratch;
-  std::size_t pos = 0;
-  EXPECT_FALSE(scratch.deserialize_decode_into(buf, pos));  // cold: buffers grew
-  EXPECT_EQ(pos, buf.size());
-  EXPECT_EQ(scratch.table_log(), 10u);
-  EXPECT_EQ(scratch.decode_stream(stream, msg.size()), msg);
-  // A decode-only model must refuse to encode rather than crash.
-  EXPECT_THROW(scratch.encode_stream(msg), Error);
-
-  pos = 0;
-  EXPECT_TRUE(scratch.deserialize_decode_into(buf, pos));  // warm: pure reuse
-  EXPECT_EQ(scratch.decode_stream(stream, msg.size()), msg);
-
-  Model reserved;
-  reserved.reserve_decode(kMaxTableLog);
-  pos = 0;
-  EXPECT_TRUE(reserved.deserialize_decode_into(buf, pos));  // pre-sized: no growth
-  EXPECT_EQ(reserved.decode_stream(stream, msg.size()), msg);
 }
 
 TEST(TansModelFastPath, WrappingInnerStreamSizeRejected) {

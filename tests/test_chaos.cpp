@@ -1,5 +1,5 @@
 // Chaos soak for the serve plane: concurrent readers over sessions whose
-// byte source executes randomized fault plans, across all three codecs.
+// byte source executes randomized fault plans, across both codecs.
 //
 // Two invariants, both deterministic by construction:
 //   - Transient-only plans (per-offset bursts shorter than the retry
@@ -33,7 +33,7 @@
 namespace gompresso {
 namespace {
 
-constexpr Codec kCodecs[] = {Codec::kBit, Codec::kByte, Codec::kTans};
+constexpr Codec kCodecs[] = {Codec::kBit, Codec::kByte};
 
 struct Fixture {
   Bytes input;

@@ -1,9 +1,11 @@
-// Regression tests for CLI signal handling: SIGINT mid-`gomp cat
-// --trace` must still finish the trace file and exit 130, and SIGTERM
-// against `gomp serve` must drain gracefully and exit 0. Both tests
-// fork/exec the real binary (a sibling of this test executable) so the
-// handlers, the TraceGuard teardown order, and the exit codes are
-// exercised exactly as a user would hit them.
+// Regression tests for the CLI process surface: SIGINT mid-`gomp cat
+// --trace` must still finish the trace file and exit 130, SIGTERM
+// against `gomp serve` must drain gracefully and exit 0, and `gomp d`
+// must decode every container the sniffer accepts (GMPZ, GMPS, gzip)
+// and exit 1 on a lying gzip trailer. Every test fork/execs the real
+// binary (a sibling of this test executable) so the handlers, the
+// TraceGuard teardown order, and the exit codes are exercised exactly as
+// a user would hit them.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,6 +15,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -22,6 +25,8 @@
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
 #include "net/http.hpp"
+#include "util/crc32.hpp"
+#include "util/varint.hpp"
 
 namespace gompresso {
 namespace {
@@ -50,9 +55,10 @@ void write_archive(const std::string& path, std::size_t input_size) {
   ASSERT_TRUE(out.good());
 }
 
-/// fork/exec the CLI with stdout redirected to `stdout_fd` (or
-/// inherited when -1). Returns the child pid.
-pid_t spawn_cli(const std::vector<std::string>& args, int stdout_fd) {
+/// fork/exec the CLI with stdout redirected to `stdout_fd` and stderr to
+/// `stderr_fd` (each inherited when -1). Returns the child pid.
+pid_t spawn_cli(const std::vector<std::string>& args, int stdout_fd,
+                int stderr_fd = -1) {
   const std::string bin = cli_binary();
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(bin.c_str()));
@@ -64,6 +70,10 @@ pid_t spawn_cli(const std::vector<std::string>& args, int stdout_fd) {
     if (stdout_fd >= 0) {
       dup2(stdout_fd, STDOUT_FILENO);
       close(stdout_fd);
+    }
+    if (stderr_fd >= 0) {
+      dup2(stderr_fd, STDERR_FILENO);
+      close(stderr_fd);
     }
     execv(bin.c_str(), argv.data());
     _exit(127);
@@ -85,6 +95,113 @@ int wait_for_exit(pid_t pid, int timeout_ms) {
   waitpid(pid, &status, 0);
   ADD_FAILURE() << "child did not exit within " << timeout_ms << " ms";
   return status;
+}
+
+void write_bytes(const std::string& path, const Bytes& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+  ASSERT_TRUE(out.good());
+}
+
+Bytes read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+/// Runs `gomp d input output` to completion; returns the exit status and
+/// leaves the child's stderr in `err`.
+int run_decompress(const std::string& input, const std::string& output,
+                   std::string& err) {
+  const std::string err_path = output + ".err";
+  const int err_fd = ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  const int null_fd = ::open("/dev/null", O_WRONLY);
+  const pid_t pid = spawn_cli({"d", input, output}, null_fd, err_fd);
+  close(err_fd);
+  close(null_fd);
+  const int status = wait_for_exit(pid, 60000);
+  const Bytes err_bytes = read_bytes(err_path);
+  err.assign(err_bytes.begin(), err_bytes.end());
+  std::remove(err_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+bool have_gzip_binary() {
+  return std::system("gzip --version >/dev/null 2>&1") == 0;
+}
+
+/// One gzip member holding `data` (< 64 KiB) in a single stored DEFLATE
+/// block, with the given trailer CRC.
+Bytes gzip_stored_member(const Bytes& data, std::uint32_t trailer_crc) {
+  Bytes out = {0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255};  // header, no flags
+  const auto n = static_cast<std::uint16_t>(data.size());
+  const auto nlen = static_cast<std::uint16_t>(~n);
+  out.push_back(1);  // BFINAL = 1, BTYPE = stored
+  for (const std::uint16_t v : {n, nlen}) {
+    out.push_back(static_cast<std::uint8_t>(v & 0xFF));
+    out.push_back(static_cast<std::uint8_t>(v >> 8));
+  }
+  out.insert(out.end(), data.begin(), data.end());
+  put_u32le(out, trailer_crc);
+  put_u32le(out, static_cast<std::uint32_t>(data.size()));
+  return out;
+}
+
+/// `gomp d archive` must exit 0 and reproduce `input`; removes the archive.
+void expect_decompress_roundtrip(const std::string& archive, const Bytes& input) {
+  const std::string output = archive + ".out";
+  std::string err;
+  EXPECT_EQ(run_decompress(archive, output, err), 0) << archive << ": " << err;
+  EXPECT_EQ(read_bytes(output), input) << archive;
+  std::remove(output.c_str());
+  std::remove(archive.c_str());
+}
+
+TEST(CliDecompress, RoundTripsGmpzAndGmps) {
+  const Bytes input = datagen::wikipedia(300000);
+  CompressOptions opt;
+  opt.block_size = 16 * 1024;
+  const std::string gmpz = temp_path("d.gmpz");
+  write_bytes(gmpz, compress(input, opt));
+  expect_decompress_roundtrip(gmpz, input);
+
+  const std::string raw = temp_path("d_input");
+  const std::string gmps = temp_path("d.gmps");
+  write_bytes(raw, input);
+  compress_file(raw, gmps, opt, 64 * 1024);  // several GMPS segments
+  std::remove(raw.c_str());
+  expect_decompress_roundtrip(gmps, input);
+}
+
+TEST(CliDecompress, RoundTripsSystemGzip) {
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  const Bytes input = datagen::wikipedia(300000);
+  const std::string raw = temp_path("d_input");
+  const std::string gz = temp_path("d.gz");
+  write_bytes(raw, input);
+  ASSERT_EQ(std::system(("gzip -6 -n -c " + raw + " > " + gz).c_str()), 0);
+  std::remove(raw.c_str());
+  expect_decompress_roundtrip(gz, input);
+}
+
+TEST(CliDecompress, LyingGzipTrailerExitsOne) {
+  const Bytes data = datagen::wikipedia(40000);
+  const std::string honest = temp_path("honest.gz");
+  const std::string lying = temp_path("lying.gz");
+  const std::uint32_t crc = crc32(ByteSpan(data.data(), data.size()));
+  write_bytes(honest, gzip_stored_member(data, crc));
+  write_bytes(lying, gzip_stored_member(data, crc ^ 0xFFu));
+
+  std::string err;
+  EXPECT_EQ(run_decompress(honest, honest + ".out", err), 0) << err;
+  EXPECT_EQ(read_bytes(honest + ".out"), data);
+
+  EXPECT_EQ(run_decompress(lying, lying + ".out", err), 1);
+  EXPECT_NE(err.find("CRC32 mismatch"), std::string::npos) << err;
+
+  for (const std::string& p : {honest, honest + ".out", lying, lying + ".out"}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST(CliSignals, SigintDuringTracedCatFinishesTheTraceAndExits130) {

@@ -100,7 +100,7 @@ TEST_P(RoundTripSweep, CompressDecompress) {
 
 INSTANTIATE_TEST_SUITE_P(
     ConfigSpace, RoundTripSweep,
-    ::testing::Combine(::testing::Values(Codec::kByte, Codec::kBit, Codec::kTans),
+    ::testing::Combine(::testing::Values(Codec::kByte, Codec::kBit),
                        ::testing::Bool(),
                        ::testing::Values(32u * 1024u, 256u * 1024u),
                        ::testing::Values(4u, 16u, 64u),
@@ -240,13 +240,13 @@ TEST(IntraBlock, SingleBlockScalesAcrossSubblocks) {
   // The block plan, on both the compress and decompress side: a block's
   // sub-block lanes fan out across the pool (lane_fanouts == 1) exactly
   // when there is one block and a multi-participant pool — for every
-  // codec, since the tans and byte codecs ride the same lane-pool path
-  // as the bit codec. Every other shape runs whole blocks. The bytes
+  // codec, since the byte codec rides the same lane-pool path as the bit
+  // codec. Every other shape runs whole blocks. The bytes
   // agree at every shape, and compress() output is identical at every
   // thread count.
   constexpr std::uint32_t kBlock = 64 * 1024;
   const Bytes text = datagen::wikipedia(5 * kBlock);
-  for (const Codec codec : {Codec::kBit, Codec::kTans, Codec::kByte}) {
+  for (const Codec codec : {Codec::kBit, Codec::kByte}) {
     for (const std::size_t blocks : {0, 1, 2, 5}) {
       const Bytes input(text.begin(), text.begin() + static_cast<long>(blocks * kBlock));
       Bytes serial_file;
@@ -277,8 +277,7 @@ TEST(IntraBlock, SingleBlockScalesAcrossSubblocks) {
 }
 
 TEST(IntraBlock, ByteCodecFanOutDeterminismAcrossCorpora) {
-  // 1T vs NT byte-equality for the byte codec on every datagen corpus
-  // (the tans twin lives in test_tans_codec).
+  // 1T vs NT byte-equality for the byte codec on every datagen corpus.
   for (const int which : {0, 1, 2}) {
     const Bytes input = dataset(which, 200000);
     for (const std::uint32_t block_size : {512u * 1024u, 48u * 1024u}) {
@@ -350,29 +349,23 @@ TEST(Scratch, SteadyStateDecodeAllocatesNothing) {
   EXPECT_EQ(r.scratch.table_reuses, 7u);
 }
 
-TEST(Scratch, TansAndByteSteadyStateDecodeAllocatesNothing) {
-  // The tans and byte codecs ride the same pre-reserved arena: every
-  // block of a file must be a buffer reuse, from the first one on.
+TEST(Scratch, ByteSteadyStateDecodeAllocatesNothing) {
+  // The byte codec rides the same pre-reserved arena: every block of a
+  // file must be a buffer reuse, from the first one on.
   const Bytes tile = datagen::wikipedia(64 * 1024);
   Bytes input;
   for (int i = 0; i < 8; ++i) input.insert(input.end(), tile.begin(), tile.end());
-  for (const Codec codec : {Codec::kTans, Codec::kByte}) {
-    CompressOptions opt;
-    opt.codec = codec;
-    opt.block_size = 64 * 1024;
-    const Bytes file = compress(input, opt);
+  CompressOptions opt;
+  opt.codec = Codec::kByte;
+  opt.block_size = 64 * 1024;
+  const Bytes file = compress(input, opt);
 
-    DecompressOptions dopt;
-    dopt.num_threads = 1;
-    const DecompressResult r = decompress(file, dopt);
-    EXPECT_EQ(r.data, input);
-    EXPECT_EQ(r.scratch.blocks, 8u) << static_cast<int>(codec);
-    EXPECT_EQ(r.scratch.buffer_reuses, 8u) << static_cast<int>(codec);
-    if (codec == Codec::kTans) {
-      // Two shared models rebuilt per block, in reused storage.
-      EXPECT_EQ(r.scratch.table_builds, 16u);
-    }
-  }
+  DecompressOptions dopt;
+  dopt.num_threads = 1;
+  const DecompressResult r = decompress(file, dopt);
+  EXPECT_EQ(r.data, input);
+  EXPECT_EQ(r.scratch.blocks, 8u);
+  EXPECT_EQ(r.scratch.buffer_reuses, 8u);
 }
 
 TEST(Metrics, DecompressionReportsWarpActivity) {

@@ -13,7 +13,6 @@
 #include "core/compressor.hpp"
 #include "core/decompressor.hpp"
 #include "core/encode_tables.hpp"
-#include "core/tans_codec.hpp"
 #include "datagen/datasets.hpp"
 #include "huffman/code_builder.hpp"
 #include "huffman/encoder.hpp"
@@ -202,7 +201,7 @@ TEST(CompressDeterminism, ByteIdenticalAcrossThreadCounts) {
       {"single-block", datagen::wikipedia(100 * 1024)},
   };
   for (const auto& [name, input] : corpora) {
-    for (const Codec codec : {Codec::kByte, Codec::kBit, Codec::kTans}) {
+    for (const Codec codec : {Codec::kByte, Codec::kBit}) {
       CompressOptions opt;
       opt.codec = codec;
       opt.num_threads = 1;
@@ -230,18 +229,13 @@ TEST(CompressDeterminism, RepeatedEncodesWithReusedScratchAreIdentical) {
     blocks.push_back(lz77::parse_chained(ByteSpan(input.data() + at, len), popt, 16));
   }
   core::EncodeScratch scratch;
-  scratch.reserve(256 * 1024, 16, /*tans=*/true);
+  scratch.reserve(256 * 1024, 16);
   core::BitCodecConfig bcfg;
-  core::TansCodecConfig tcfg;
   for (const auto& blk : blocks) {
     const Bytes bit1 = core::encode_block_bit(blk, bcfg, scratch);
     const Bytes bit2 = core::encode_block_bit(blk, bcfg, scratch);
     EXPECT_EQ(bit1, bit2);
     EXPECT_EQ(bit1, core::encode_block_bit(blk, bcfg));  // fresh-scratch wrapper
-    const Bytes tans1 = core::encode_block_tans(blk, tcfg, scratch);
-    const Bytes tans2 = core::encode_block_tans(blk, tcfg, scratch);
-    EXPECT_EQ(tans1, tans2);
-    EXPECT_EQ(tans1, core::encode_block_tans(blk, tcfg));
     const Bytes byte1 = core::encode_block_byte(blk, scratch);
     EXPECT_EQ(byte1, core::encode_block_byte(blk));
   }
@@ -259,9 +253,8 @@ TEST(EncodeScratch, SteadyStateIsAllocationFree) {
   popt.max_literal_run = core::kByteCodecMaxLiteralRun;
 
   core::EncodeScratch scratch;
-  scratch.reserve(256 * 1024, 16, /*tans=*/true);
+  scratch.reserve(256 * 1024, 16);
   core::BitCodecConfig bcfg;
-  core::TansCodecConfig tcfg;
 
   const auto one_pass = [&] {
     for (std::size_t at = 0; at < input.size(); at += 256 * 1024) {
@@ -271,7 +264,6 @@ TEST(EncodeScratch, SteadyStateIsAllocationFree) {
       lz77::parse_block_into(block, popt, matcher, scratch.block, nullptr,
                              &scratch.de_constraint);
       core::encode_block_bit(scratch.block, bcfg, scratch);
-      core::encode_block_tans(scratch.block, tcfg, scratch);
       core::encode_block_byte(scratch.block, scratch);
     }
   };
@@ -291,7 +283,7 @@ TEST(EncodeScratch, SteadyStateIsAllocationFree) {
 
 TEST(EncodeScratch, CompressStatsReportScratchReuse) {
   const Bytes input = datagen::wikipedia(768 * 1024);
-  for (const Codec codec : {Codec::kByte, Codec::kBit, Codec::kTans}) {
+  for (const Codec codec : {Codec::kByte, Codec::kBit}) {
     CompressOptions opt;
     opt.codec = codec;
     opt.num_threads = 1;
@@ -309,7 +301,7 @@ TEST(EncodeScratch, SingleBlockFanOutCountsLanes) {
   // A single-block input with a multi-worker pool takes the sub-block
   // fan-out path; output must equal the serial encoding.
   const Bytes input = datagen::wikipedia(200 * 1024);
-  for (const Codec codec : {Codec::kByte, Codec::kBit, Codec::kTans}) {
+  for (const Codec codec : {Codec::kByte, Codec::kBit}) {
     CompressOptions opt;
     opt.codec = codec;
     opt.block_size = 256 * 1024;  // one block

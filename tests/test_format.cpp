@@ -1,7 +1,11 @@
 // Unit tests for the container format header (paper Fig. 3).
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/gompresso.hpp"
 #include "format/header.hpp"
+#include "serve/byte_source.hpp"
 
 namespace gompresso::format {
 namespace {
@@ -70,6 +74,43 @@ TEST(FileHeaderTest, UnknownCodecThrows) {
   buf[5] = 7;
   std::size_t pos = 0;
   EXPECT_THROW(FileHeader::deserialize(buf, pos), Error);
+}
+
+/// The FormatError message `f` throws, or "" when it throws nothing.
+template <typename F>
+std::string format_error_of(F&& f) {
+  try {
+    f();
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FileHeaderTest, RemovedTansCodecRejectedByName) {
+  // Codec byte 2 was Gompresso/Tans; files that carry it fail with a
+  // typed error that names the codec, not as an unknown one.
+  Bytes buf = sample_header().serialize();
+  buf[5] = 2;
+  std::size_t pos = 0;
+  const std::string msg = format_error_of([&] { FileHeader::deserialize(buf, pos); });
+  EXPECT_NE(msg.find("Tans"), std::string::npos) << msg;
+
+  buf[5] = 3;
+  pos = 0;
+  EXPECT_NE(format_error_of([&] { FileHeader::deserialize(buf, pos); })
+                .find("unknown codec"),
+            std::string::npos);
+}
+
+TEST(FileHeaderTest, RemovedTansCodecRejectedByDecompressAndOpen) {
+  Bytes file = compress(Bytes(5000, 'a'));
+  ASSERT_EQ(file[5], static_cast<std::uint8_t>(Codec::kBit));
+  file[5] = 2;
+  EXPECT_NE(format_error_of([&] { decompress(file); }).find("Tans"), std::string::npos);
+  EXPECT_NE(format_error_of([&] { gompresso::open(serve::memory_source(file)); })
+                .find("Tans"),
+            std::string::npos);
 }
 
 TEST(FileHeaderTest, TruncationThrows) {

@@ -51,7 +51,7 @@ TEST(SingleBlockDecode, OneVsManyThreads) {
   // lanes out and must produce bytes identical to the 1-thread decode,
   // for every codec and both stream kinds.
   const Bytes input = datagen::wikipedia(400000);
-  for (const Codec codec : {Codec::kBit, Codec::kByte, Codec::kTans}) {
+  for (const Codec codec : {Codec::kBit, Codec::kByte}) {
     for (const bool de : {true, false}) {
       CompressOptions opt;
       opt.codec = codec;

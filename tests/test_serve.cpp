@@ -200,7 +200,7 @@ TEST(DecodeSession, ZeroLengthAndPastEofReads) {
 }
 
 TEST(DecodeSession, RandomizedReadAtFuzzAgainstBatchSlices) {
-  for (const Codec codec : {Codec::kBit, Codec::kByte, Codec::kTans}) {
+  for (const Codec codec : {Codec::kBit, Codec::kByte}) {
     const Fixture f(250000, 16 * 1024, codec);
     const Bytes batch = decompress_bytes(f.file);
     serve::SessionOptions opt;
