@@ -604,14 +604,27 @@ int cmd_decompress(int argc, char** argv) {
   }
   if (input_path.empty() || output_path.empty()) return usage();
 
-  // decompress_file() sniffs the container and streams the output, so a
-  // failure can leave a partial file behind: remove it before reporting.
+  // decompress_stream() is the sniffer behind decompress_file(); the
+  // streams are opened here so that nothing touches the output before the
+  // input is known to open, and so that a failed decode removes only an
+  // output file this call created or truncated.
+  std::ifstream in(input_path, std::ios::binary);
+  check(in.good(), "cannot open input file");
+  std::error_code same_ec;  // a missing output is not the same file
+  check(!(std::filesystem::is_regular_file(input_path, same_ec) &&
+          std::filesystem::equivalent(input_path, output_path, same_ec)),
+        "input and output are the same file");
+  std::ofstream out(output_path, std::ios::binary);
+  check(out.good(), "cannot open output file");
   TraceGuard trace(trace_path);
   Stopwatch timer;
   std::uint64_t produced = 0;
   try {
-    produced = decompress_file(input_path, output_path, opt);
+    produced = decompress_stream(in, out, opt);
+    out.close();
+    check(!out.fail(), "write failed");
   } catch (const Error&) {
+    out.close();
     std::error_code ec;
     if (std::filesystem::is_regular_file(output_path, ec)) {
       std::filesystem::remove(output_path, ec);

@@ -196,19 +196,13 @@ Bytes Model::encode_stream(ByteSpan data) const {
   return out;
 }
 
-Bytes Model::decode_stream(ByteSpan stream, std::size_t count) const {
-  Bytes out(count);
-  decode_stream_into(stream, out);
-  return out;
-}
-
 // For any table the build invariant gives new_state <= table_size -
 // 2^nb_bits, so new_state + read(nb_bits) < table_size always: the state
 // cannot escape the table even on corrupt bits (those are caught by the
 // overflow latch and the callers' symbol-count checks), and the decode
 // loop below needs no per-symbol bounds check.
 
-void Model::decode_stream_into(ByteSpan stream, MutableByteSpan out) const {
+Bytes Model::decode_stream(ByteSpan stream, std::size_t count) const {
   check(valid(), "tans: decoding with an empty model");
   const std::size_t table_size = std::size_t{1} << table_log_;
   std::size_t pos = 0;
@@ -222,9 +216,10 @@ void Model::decode_stream_into(ByteSpan stream, MutableByteSpan out) const {
   BitReader bits(stream.subspan(pos, static_cast<std::size_t>(stream_bytes)));
   std::uint32_t state = static_cast<std::uint32_t>(start_state - table_size);
 
+  Bytes out(count);
   const DecodeEntry* const table = dec_table_.data();
   std::uint8_t* o = out.data();
-  std::size_t n = out.size();
+  std::size_t n = count;
   // One refill covers four symbols: 4 * kMaxTableLog = 56 bits, exactly
   // the BitReader guarantee.
   while (n >= 4) {
@@ -243,6 +238,7 @@ void Model::decode_stream_into(ByteSpan stream, MutableByteSpan out) const {
     state = e.new_state + bits.read_unchecked(e.nb_bits);
   }
   check(!bits.overflowed(), "tans: bitstream underrun");
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -66,15 +66,11 @@ class Model {
   /// Every symbol of `data` must be present in the model.
   Bytes encode_stream(ByteSpan data) const;
 
-  /// Decodes a stream of `count` symbols produced by encode_stream.
+  /// Decodes a stream of `count` symbols produced by encode_stream. One
+  /// branchless refill covers four symbols (4 * kMaxTableLog bits fit the
+  /// BitReader guarantee), so the steady-state symbol cost is one table
+  /// load plus one unchecked bit read.
   Bytes decode_stream(ByteSpan stream, std::size_t count) const;
-
-  /// Allocation-free span variant of decode_stream: decodes exactly
-  /// out.size() symbols into `out`. One branchless refill covers four
-  /// symbols (4 * kMaxTableLog bits fit the BitReader guarantee), so the
-  /// steady-state symbol cost is one table load plus one unchecked bit
-  /// read.
-  void decode_stream_into(ByteSpan stream, MutableByteSpan out) const;
 
   unsigned table_log() const { return table_log_; }
   bool valid() const { return table_log_ != 0; }

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -198,10 +199,35 @@ TEST(CliDecompress, LyingGzipTrailerExitsOne) {
 
   EXPECT_EQ(run_decompress(lying, lying + ".out", err), 1);
   EXPECT_NE(err.find("CRC32 mismatch"), std::string::npos) << err;
+  // The failed decode removes the partial output it wrote.
+  EXPECT_FALSE(std::filesystem::exists(lying + ".out"));
 
   for (const std::string& p : {honest, honest + ".out", lying, lying + ".out"}) {
     std::remove(p.c_str());
   }
+}
+
+TEST(CliDecompress, FailureBeforeOpeningTheOutputLeavesItAlone) {
+  const Bytes existing = {'k', 'e', 'e', 'p'};
+  const std::string output = temp_path("keep.txt");
+  write_bytes(output, existing);
+  std::string err;
+  EXPECT_EQ(run_decompress(temp_path("no_such_input.gmpz"), output, err), 1);
+  EXPECT_NE(err.find("cannot open input file"), std::string::npos) << err;
+  EXPECT_EQ(read_bytes(output), existing);
+  std::remove(output.c_str());
+}
+
+TEST(CliDecompress, SameInputAndOutputIsRefusedAndKept) {
+  const Bytes input = datagen::wikipedia(50000);
+  const std::string archive = temp_path("same.gmpz");
+  const Bytes file = compress(input);
+  write_bytes(archive, file);
+  std::string err;
+  EXPECT_EQ(run_decompress(archive, archive, err), 1);
+  EXPECT_NE(err.find("same file"), std::string::npos) << err;
+  EXPECT_EQ(read_bytes(archive), file);
+  std::remove(archive.c_str());
 }
 
 TEST(CliSignals, SigintDuringTracedCatFinishesTheTraceAndExits130) {
