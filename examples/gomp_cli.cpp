@@ -38,7 +38,7 @@
 // cat additionally accepts:
 //   --best-effort     zero-fill unrecoverable blocks instead of failing;
 //                     damaged extents go to stderr, exit code 1 if any
-// d/cat/range/verify/stats/serve accept GMPZ containers, GMPS streams,
+// d/info/cat/range/verify/stats/serve accept GMPZ containers, GMPS streams,
 // and gzip files alike (the container is sniffed; gzip gets the
 // rapidgzip-style parallel index, see src/ingest/). With no output
 // path the bytes go to stdout and the stats to stderr. `gomp index`
@@ -60,6 +60,7 @@
 
 #include "core/gompresso.hpp"
 #include "format/sniff.hpp"
+#include "ingest/gzip_backend.hpp"
 #include "net/server.hpp"
 #include "serve/fault_source.hpp"
 #include "util/stopwatch.hpp"
@@ -776,20 +777,30 @@ int cmd_stats(int argc, char** argv) {
 
 int cmd_info(int argc, char** argv) {
   if (argc < 1) return usage();
-  const Bytes file = read_file(argv[0]);
-  std::size_t pos = 0;
-  const format::FileHeader h = format::FileHeader::deserialize(file, pos);
-  std::printf("codec:               Gompresso/%s\n",
-              h.codec == Codec::kBit ? "Bit" : "Byte");
-  std::printf("dependency elim.:    %s\n", h.dependency_elimination ? "yes" : "no");
-  std::printf("codeword limit:      %u bits\n", h.codeword_limit);
-  std::printf("window size:         %u B\n", h.window_size);
-  std::printf("match lengths:       %u..%u\n", h.min_match, h.max_match);
-  std::printf("block size:          %u B\n", h.block_size);
-  std::printf("tokens/sub-block:    %u\n", h.tokens_per_subblock);
+  // open_backend() sniffs the container, so info reads GMPZ, GMPS and
+  // gzip alike (gzip pays one index build; its blocks are index chunks).
+  const std::unique_ptr<serve::ByteSource> source = serve::open_file_source(argv[0]);
+  const std::shared_ptr<serve::ContainerBackend> backend = open_backend(*source);
+  std::printf("container:           %s\n", backend->kind_name());
   std::printf("uncompressed size:   %llu B\n",
-              static_cast<unsigned long long>(h.uncompressed_size));
-  std::printf("blocks:              %zu\n", h.num_blocks());
+              static_cast<unsigned long long>(backend->total_uncompressed()));
+  std::printf("blocks:              %zu\n", backend->num_blocks());
+  if (const serve::SeekIndex* index = backend->seek_index()) {
+    std::printf("segments:            %zu\n", index->num_segments());
+    if (index->num_segments() == 0) return 0;
+    const format::FileHeader& h = index->segment_header(0);
+    std::printf("codec:               Gompresso/%s\n",
+                h.codec == Codec::kBit ? "Bit" : "Byte");
+    std::printf("dependency elim.:    %s\n", h.dependency_elimination ? "yes" : "no");
+    std::printf("codeword limit:      %u bits\n", h.codeword_limit);
+    std::printf("window size:         %u B\n", h.window_size);
+    std::printf("match lengths:       %u..%u\n", h.min_match, h.max_match);
+    std::printf("block size:          %u B\n", h.block_size);
+    std::printf("tokens/sub-block:    %u\n", h.tokens_per_subblock);
+  } else if (const ingest::GzipIndex* index = ingest::gzip_index(*backend)) {
+    std::printf("members:             %llu\n",
+                static_cast<unsigned long long>(index->num_members()));
+  }
   return 0;
 }
 

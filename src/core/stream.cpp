@@ -11,11 +11,8 @@
 #include "core/decompressor.hpp"
 #include "core/open.hpp"
 #include "format/sniff.hpp"
-#include "ingest/gzip_format.hpp"
-#include "ingest/inflate.hpp"
 #include "serve/decode_session.hpp"
 #include "util/byte_reader.hpp"
-#include "util/crc32.hpp"
 #include "util/thread_pool.hpp"
 #include "util/varint.hpp"
 
@@ -28,20 +25,20 @@ void write_bytes(std::ostream& out, ByteSpan data) {
   check(out.good(), "stream: write failed");
 }
 
-/// Decode path for seekable inputs: gompresso::open() sniffs the
-/// container (GMPS, bare GMPZ, or gzip) and a DecodeSession over the
-/// stream gives the pipelined-prefetch engine; memory stays bounded by
-/// its window regardless of segment size (the old implementation
-/// buffered whole segments).
-std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
-                                        const DecompressOptions& options) {
+/// The read loop of a seekable input and of a gzip pipe: open() sniffs
+/// `source` (GMPS, bare GMPZ, or gzip) and a DecodeSession copies it to
+/// `out`, memory bounded by its prefetch window. Returns the bytes
+/// written; `compressed_end` (if set) gets where the container ends.
+std::uint64_t copy_session(std::unique_ptr<serve::ByteSource> source,
+                           std::ostream& out, const DecompressOptions& options,
+                           std::uint64_t* compressed_end = nullptr) {
   OpenOptions oopt;
   oopt.session.num_threads = options.num_threads;
   oopt.session.verify_checksums = options.verify_checksums;
-
-  const std::istream::pos_type base = in.tellg();
-  std::unique_ptr<serve::DecodeSession> session =
-      open(serve::istream_source(in), oopt);
+  // The copy reads each block once, in order, so the prefetch window is
+  // all the cache it can use (cache_blocks rounds up to the window).
+  oopt.session.cache_blocks = 0;
+  std::unique_ptr<serve::DecodeSession> session = open(std::move(source), oopt);
 
   Bytes chunk(kStreamCopyChunk);
   std::uint64_t total = 0;
@@ -51,51 +48,18 @@ std::uint64_t decompress_stream_session(std::istream& in, std::ostream& out,
     write_bytes(out, ByteSpan(chunk.data(), n));
     total += n;
   }
-  // Leave the stream where sequential consumption would: just past the
-  // terminator (the session's random-access reads scattered the cursor).
-  in.clear();
-  in.seekg(base + static_cast<std::streamoff>(session->compressed_end()));
+  if (compressed_end != nullptr) *compressed_end = session->compressed_end();
   return total;
 }
 
-/// Output of the gzip pipe decode: checks each member's trailer as the
-/// member's last piece arrives, then writes the piece. The sink flushes
-/// at every member boundary, so a piece never straddles two members.
-struct TrailerCheckedOutput {
-  std::ostream& out;
-  const std::vector<ingest::MemberEvent>& members;  // grows as trailers parse
-  std::size_t next = 0;  // first member whose trailer is unchecked
-  std::uint64_t produced = 0;
-  std::uint64_t member_begin = 0;
-  std::uint32_t crc = 0;  // of member `next` so far
-
-  void take(ByteSpan piece) {
-    crc = crc32(piece, crc);
-    produced += piece.size();
-    for (; next < members.size() && members[next].out_offset == produced; ++next) {
-      check_corrupt(crc == members[next].crc32, "gzip: member CRC32 mismatch");
-      check_corrupt(static_cast<std::uint32_t>(produced - member_begin) ==
-                        members[next].isize,
-                    "gzip: member ISIZE mismatch");
-      crc = 0;
-      member_begin = produced;
-    }
-    write_bytes(out, piece);
-  }
-};
-
-/// Sequential gzip decode for non-seekable inputs. The whole compressed
-/// stream is buffered (a pipe cannot be rewound, and the chunk driver's
-/// retry protocol would re-emit already-flushed output), but the OUTPUT
-/// streams through a flushing sink that retains only the 32 KiB
-/// reference window — so memory is O(compressed), never
-/// O(uncompressed). Every member's trailer CRC32/ISIZE is checked as its
-/// output is flushed, as the seekable path's index build checks them.
-std::uint64_t decompress_gzip_sequential(std::istream& in, ByteSpan prefix,
-                                         std::ostream& out) {
-  // Slurp the rest of the pipe. The byte-exact reader that sniffed the
-  // prefix holds no lookahead (its 4-byte read bypassed the window), so
-  // the stream cursor sits right after the prefix.
+/// Gzip on a pipe: buffers the whole compressed stream (a pipe cannot
+/// be rewound, and the index build and the session each read it), then
+/// decodes it as a seekable .gz (memory bound: see core/stream.hpp).
+/// The byte-exact reader that sniffed `prefix` holds no lookahead, so
+/// the stream cursor sits right after it.
+std::uint64_t decompress_gzip_pipe(std::istream& in, ByteSpan prefix,
+                                   std::ostream& out,
+                                   const DecompressOptions& options) {
   Bytes data(prefix.begin(), prefix.end());
   while (in.good()) {
     const std::size_t old = data.size();
@@ -105,30 +69,8 @@ std::uint64_t decompress_gzip_sequential(std::istream& in, ByteSpan prefix,
     data.resize(old + static_cast<std::size_t>(in.gcount()));
   }
   check_io(in.eof(), "stream: read failed");
-
-  // Strict cold-open header parse first: a malformed leading header is
-  // a FormatError ("this is not gzip"), unlike mid-stream damage.
-  util::SpanReader hdr_reader(ByteSpan(data.data(), data.size()));
-  ingest::parse_member_header(hdr_reader);
-
-  ingest::GrowingByteSink sink(ByteSpan(),
-                               ingest::max_inflated_bytes(data.size()));
-  ingest::ChunkResult result;
-  TrailerCheckedOutput output{out, result.members};
-  sink.enable_flush(
-      [](void* ctx, ByteSpan piece) {
-        static_cast<TrailerCheckedOutput*>(ctx)->take(piece);
-      },
-      &output, kStreamCopyChunk);
-  ingest::InflateScratch scratch;
-  const ingest::ChunkStatus status = ingest::inflate_chunk(
-      ByteSpan(data.data(), data.size()), 8 * hdr_reader.offset(),
-      /*stop_bit=*/8 * data.size(), /*stream_end_byte=*/data.size(), sink,
-      scratch, result);
-  check_corrupt(status == ingest::ChunkStatus::kEndOfStream,
-                "gzip: compressed stream truncated");
-  sink.finish();
-  return output.produced;
+  return copy_session(serve::memory_source(ByteSpan(data.data(), data.size())),
+                      out, options);
 }
 
 /// Decode path for non-seekable inputs (pipes): one segment header at a
@@ -218,8 +160,8 @@ std::uint64_t decompress_stream_sequential(std::istream& in, std::ostream& out,
       return total;
     }
     case format::ContainerKind::kGzip:
-      return decompress_gzip_sequential(in, ByteSpan(prefix, sizeof prefix),
-                                        out);
+      return decompress_gzip_pipe(in, ByteSpan(prefix, sizeof prefix), out,
+                                  options);
     case format::ContainerKind::kGmps:
       break;  // segment loop below
     case format::ContainerKind::kUnknown:
@@ -271,10 +213,20 @@ std::uint64_t compress_stream(std::istream& in, std::ostream& out,
 
 std::uint64_t decompress_stream(std::istream& in, std::ostream& out,
                                 const DecompressOptions& options) {
-  const bool seekable = in.tellg() != std::istream::pos_type(-1);
-  if (!seekable) in.clear();  // a failed tellg may latch failbit
-  return seekable ? decompress_stream_session(in, out, options)
-                  : decompress_stream_sequential(in, out, options);
+  const std::istream::pos_type base = in.tellg();
+  if (base == std::istream::pos_type(-1)) {
+    in.clear();  // a failed tellg may latch failbit
+    return decompress_stream_sequential(in, out, options);
+  }
+  // A seekable input is a session over the stream itself.
+  std::uint64_t end = 0;
+  const std::uint64_t total =
+      copy_session(serve::istream_source(in), out, options, &end);
+  // Leave the stream where sequential consumption would: just past the
+  // terminator (the session's random-access reads scattered the cursor).
+  in.clear();
+  in.seekg(base + static_cast<std::streamoff>(end));
+  return total;
 }
 
 std::uint64_t compress_file(const std::string& input_path,

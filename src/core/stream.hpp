@@ -8,17 +8,22 @@
 // parallelism properties (each segment is a normal block-parallel
 // container).
 //
-// Decompression runs one of the two native decode drivers. A seekable
-// input gets a DecodeSession (seek index + pipelined block prefetch, see
-// serve/decode_session.hpp), so memory stays bounded by the session
-// window. A non-seekable input (a pipe) is read with byte-exact framing,
-// one batch of pool-parallelism blocks at a time, each batch decoded by
-// the block-range decoder decompress() uses (core/block_decode.hpp) on
-// the same block plan — O(parallelism x block) memory, and a lone block
-// fans its sub-block lanes out. Either path accepts a bare GMPZ
-// container as well as a GMPS stream. A gzip input takes the session
-// path when seekable; on a pipe the whole compressed stream is buffered
-// while the output streams out, with every member trailer checked.
+// Decompression: a seekable input of any container (GMPS, bare GMPZ,
+// gzip) is a DecodeSession over the stream (serve/decode_session.hpp),
+// memory bounded by the session window. On a pipe, GMPS/GMPZ is read
+// with byte-exact framing, one pool's parallelism of blocks per batch,
+// through the block-range decoder decompress() uses
+// (core/block_decode.hpp): O(parallelism x block) memory, and a lone
+// block fans out its sub-block lanes. A gzip pipe is buffered whole and
+// decoded by a session over the buffer. Its memory is the compressed
+// stream, one 32 KiB index window per chunk, 2·T index-build cells and
+// the session's prefetch window of chunks (a copy reads each chunk
+// once, so it caches no more). A chunk ends after 512 KiB of compressed
+// input or, past 4 MiB of output, at the next DEFLATE block boundary
+// (ingest::kChunkOutputPerPitch), so a cell or a cached chunk holds at
+// most 4 MiB plus one block of output (2 B per byte as build tokens),
+// and the windows take at most 1/16 of the compressed plus 1/128 of
+// the uncompressed size.
 //
 // Stream layout:
 //   u32le  magic "GMPS"

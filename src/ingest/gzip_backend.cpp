@@ -8,6 +8,7 @@ namespace {
 class GzipBackend final : public serve::ContainerBackend {
  public:
   explicit GzipBackend(GzipIndex index) : index_(std::move(index)) {}
+  const GzipIndex& index() const { return index_; }
 
   const char* kind_name() const override { return "gzip"; }
   std::uint64_t total_uncompressed() const override {
@@ -72,6 +73,11 @@ std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index) {
 std::shared_ptr<serve::ContainerBackend> make_gzip_backend(
     serve::ByteSource& source, const GzipIndexOptions& options) {
   return std::make_shared<GzipBackend>(GzipIndex::build(source, options));
+}
+
+const GzipIndex* gzip_index(const serve::ContainerBackend& backend) {
+  const auto* gzip = dynamic_cast<const GzipBackend*>(&backend);
+  return gzip != nullptr ? &gzip->index() : nullptr;
 }
 
 }  // namespace gompresso::ingest

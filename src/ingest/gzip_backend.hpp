@@ -23,4 +23,8 @@ std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index);
 std::shared_ptr<serve::ContainerBackend> make_gzip_backend(
     serve::ByteSource& source, const GzipIndexOptions& options = {});
 
+/// The GzipIndex behind `backend` (`gomp info` prints its member count), or
+/// nullptr when it is not a gzip backend.
+const GzipIndex* gzip_index(const serve::ContainerBackend& backend);
+
 }  // namespace gompresso::ingest

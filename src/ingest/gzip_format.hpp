@@ -2,8 +2,8 @@
 //
 // Two parsers on purpose:
 //   * parse_member_header() — the strict ByteReader path used where a
-//     member starts a stream or is inspected cold (index build, the
-//     pipe fallback, `gomp info`). Validates magic/CM, rejects
+//     member starts a stream (the index build, which a gzip pipe
+//     reaches too). Validates magic/CM, rejects
 //     reserved FLG bits, captures FNAME, and verifies FHCRC (the CRC16
 //     over the raw header bytes) when present.
 //   * skip_member_header() — the in-stream BitReader path the chunk

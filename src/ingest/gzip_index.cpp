@@ -57,6 +57,12 @@ struct SegmentCrc {
   std::uint64_t len = 0;
 };
 
+/// One in-order run's member trailers and member-segment checksums.
+struct RunCheck {
+  std::vector<MemberEvent> members;  // out_offsets are run-relative
+  std::vector<SegmentCrc> segments;  // members.size() + 1
+};
+
 /// Buffers one build participant reuses across cells.
 struct WorkerScratch {
   InflateScratch inflate;
@@ -84,6 +90,10 @@ struct ChunkTask {
   // members.size() + 1 once the cell is stitched and checksummed; empty
   // for a cell the predecessor's run ate.
   std::vector<SegmentCrc> segments;
+  // In-order runs after the speculative one (which members/segments
+  // describe), in stream order: a miss decodes the whole cell this way,
+  // and a run that stopped at the output cap leaves the rest to them.
+  std::vector<RunCheck> more;
 };
 
 ByteSpan stage_slice(serve::ByteSource& source, std::uint64_t base,
@@ -139,30 +149,36 @@ std::vector<SegmentCrc> patch_segment_crcs(std::span<const std::uint16_t> tokens
   });
 }
 
-/// Chains every cell's segment CRCs, in stream order, into whole-member
+/// Chains every run's segment CRCs, in stream order, into whole-member
 /// CRC32/ISIZE checks against the trailers.
 void verify_member_trailers(const std::vector<ChunkTask>& cells) {
   std::uint32_t crc = 0;
   std::uint64_t len = 0;
-  for (const ChunkTask& t : cells) {
-    for (std::size_t k = 0; k < t.segments.size(); ++k) {
-      crc = crc32_combine(crc, t.segments[k].crc, t.segments[k].len);
-      len += t.segments[k].len;
-      if (k == t.members.size()) break;  // the member continues in the next cell
-      check_corrupt(crc == t.members[k].crc32, "gzip: member CRC32 mismatch");
-      check_corrupt(static_cast<std::uint32_t>(len) == t.members[k].isize,
+  const auto chain = [&](const std::vector<MemberEvent>& members,
+                         const std::vector<SegmentCrc>& segments) {
+    for (std::size_t k = 0; k < segments.size(); ++k) {
+      crc = crc32_combine(crc, segments[k].crc, segments[k].len);
+      len += segments[k].len;
+      if (k == members.size()) break;  // the member continues in the next run
+      check_corrupt(crc == members[k].crc32, "gzip: member CRC32 mismatch");
+      check_corrupt(static_cast<std::uint32_t>(len) == members[k].isize,
                     "gzip: member ISIZE mismatch");
       crc = 0;
       len = 0;
     }
+  };
+  for (const ChunkTask& t : cells) {
+    chain(t.members, t.segments);
+    for (const RunCheck& run : t.more) chain(run.members, run.segments);
   }
 }
 
 /// Decodes resolved bytes from absolute `start_bit` until the first
-/// block boundary at/after byte `stop_byte`, growing the staged slice
-/// on kNeedMoreData. Used for the stream-start chunk (window known to
-/// be empty) and for in-order decodes (window known from the
-/// predecessor). Corruption here is genuine — the window is true.
+/// block boundary at/after byte `stop_byte` or after `max_output`
+/// bytes, growing the staged slice on kNeedMoreData. Used for the
+/// stream-start chunk (window known to be empty) and for in-order
+/// decodes (window known from the predecessor). Corruption here is
+/// genuine — the window is true.
 struct ByteRun {
   std::uint64_t end_bit = 0;
   ChunkStatus status = ChunkStatus::kStopped;
@@ -172,7 +188,8 @@ struct ByteRun {
 
 ByteRun decode_byte_run(serve::ByteSource& source, std::uint64_t source_size,
                         std::uint64_t start_bit, std::uint64_t stop_byte,
-                        ByteSpan start_window, WorkerScratch& ws) {
+                        std::uint64_t max_output, ByteSpan start_window,
+                        WorkerScratch& ws) {
   const std::uint64_t base = start_bit >> 3;
   std::uint64_t slice_len =
       std::min(stop_byte - base + kSliceMargin, source_size - base);
@@ -185,7 +202,7 @@ ByteRun decode_byte_run(serve::ByteSource& source, std::uint64_t source_size,
     ChunkResult res;
     const ChunkStatus status =
         inflate_chunk(slice, start_bit - 8 * base, (stop_byte - base) * 8,
-                      source_size - base, sink, ws.inflate, res);
+                      source_size - base, sink, ws.inflate, res, max_output);
     if (status == ChunkStatus::kNeedMoreData) {
       slice_len = std::min(slice_len * 2, source_size - base);
       continue;  // terminates: a full slice can never report kNeedMoreData
@@ -200,12 +217,12 @@ ByteRun decode_byte_run(serve::ByteSource& source, std::uint64_t source_size,
 }
 
 /// Speculative path: find a boundary in [grid_byte, next_grid_byte),
-/// marker-decode from it into `tokens`. Boundary misses and false
-/// candidates leave ok == false / advance the scan; only I/O errors
-/// escape.
+/// marker-decode from it into `tokens` (at most `max_output` tokens
+/// plus one block). Boundary misses and false candidates leave
+/// ok == false / advance the scan; only I/O errors escape.
 void run_marker_task(serve::ByteSource& source, std::uint64_t source_size,
-                     ChunkTask& t, std::vector<std::uint16_t>& tokens,
-                     WorkerScratch& ws) {
+                     std::uint64_t max_output, ChunkTask& t,
+                     std::vector<std::uint16_t>& tokens, WorkerScratch& ws) {
   const IngestObs& o = ingest_obs();
   const std::uint64_t base = t.grid_byte;
   const std::uint64_t stop_rel_bit = (t.next_grid_byte - base) * 8;
@@ -228,7 +245,7 @@ void run_marker_task(serve::ByteSource& source, std::uint64_t source_size,
       try {
         obs::StageScope stage("marker_decode", "ingest", o.marker_decode_us);
         status = inflate_chunk(span, cand, stop_rel_bit, source_size - base,
-                               sink, ws.inflate, res);
+                               sink, ws.inflate, res, max_output);
       } catch (const CorruptionError&) {
         scan_from = cand + 1;  // false positive: keep scanning
         continue;
@@ -256,10 +273,10 @@ void run_marker_task(serve::ByteSource& source, std::uint64_t source_size,
 /// The stream-start cell: its window is known to be empty, so it
 /// decodes (and checksums) bytes directly.
 void run_byte_task(serve::ByteSource& source, std::uint64_t source_size,
-                   ChunkTask& t, WorkerScratch& ws) {
+                   std::uint64_t max_output, ChunkTask& t, WorkerScratch& ws) {
   obs::StageScope stage("marker_decode", "ingest", ingest_obs().marker_decode_us);
   ByteRun run = decode_byte_run(source, source_size, t.start_bit,
-                                t.next_grid_byte, ByteSpan(), ws);
+                                t.next_grid_byte, max_output, ByteSpan(), ws);
   t.ok = true;
   t.found_bit = t.start_bit;
   t.end_bit = run.end_bit;
@@ -299,14 +316,15 @@ class Stitcher {
     return t.ok && (t.byte_mode || (t.found_bit == cur_bit_ && !at_stream_start()));
   }
 
-  /// Appends a cell whose output is known as bytes.
-  void append_bytes(const ChunkTask& t, ByteSpan out) {
+  /// Appends a run whose output is known as bytes.
+  void append_bytes(std::uint64_t end_bit, ChunkStatus status,
+                    std::size_t members, ByteSpan out) {
     if (!out.empty()) {
       obs::StageScope stage("stitch", "ingest", ingest_obs().stitch_us);
-      add_chunk(t.end_bit, out.size());
+      add_chunk(end_bit, out.size());
       roll_window(window_, out);
     }
-    advance(t, out.size());
+    advance(end_bit, status, members, out.size());
   }
 
   /// Appends a marker cell. Only its last 32 KiB is patched here — that
@@ -323,7 +341,7 @@ class Stitcher {
                     MutableByteSpan(next_.data() + keep, take));
       std::swap(window_, next_);
     }
-    advance(t, tokens.size());
+    advance(t.end_bit, t.status, t.members.size(), tokens.size());
   }
 
   std::vector<GzipChunk> chunks;
@@ -348,11 +366,12 @@ class Stitcher {
     ingest_obs().bytes_indexed.add(size);
   }
 
-  void advance(const ChunkTask& t, std::uint64_t size) {
+  void advance(std::uint64_t end_bit, ChunkStatus status, std::size_t members,
+               std::uint64_t size) {
     uncomp_pos_ += size;
-    cur_bit_ = t.end_bit;
-    eos_ = t.status == ChunkStatus::kEndOfStream;
-    num_members += t.members.size();
+    cur_bit_ = end_bit;
+    eos_ = status == ChunkStatus::kEndOfStream;
+    num_members += members;
   }
 
   Bytes window_;  // rolling last 32 KiB of output
@@ -362,19 +381,23 @@ class Stitcher {
   bool eos_ = false;
 };
 
-/// Decodes cell `t` from the stitch position with the true window in
-/// hand, overwriting whatever speculation left in `t`.
-Bytes decode_in_order(serve::ByteSource& source, std::uint64_t source_size,
-                      const Stitcher& st, ChunkTask& t, WorkerScratch& ws) {
-  obs::StageScope stage("fallback", "ingest", ingest_obs().fallback_us);
-  const ByteSpan win = st.at_stream_start() ? ByteSpan() : st.window();
-  ByteRun run = decode_byte_run(source, source_size, st.cur_bit(),
-                                t.next_grid_byte, win, ws);
-  t.end_bit = run.end_bit;
-  t.status = run.status;
-  t.members = std::move(run.members);
-  t.segments = byte_segment_crcs(run.out, t.members);
-  return std::move(run.out);
+/// Decodes the rest of cell `t` from the stitch position with the true
+/// window in hand, one run of at most `max_output` bytes (plus one
+/// block) at a time, and appends each run: afterwards the stitch sits
+/// at or past the cell's end, or at the end of the stream.
+void finish_in_order(serve::ByteSource& source, std::uint64_t source_size,
+                     std::uint64_t max_output, Stitcher& st, ChunkTask& t,
+                     WorkerScratch& ws) {
+  while (!st.eos() && !st.eaten(t)) {
+    obs::StageScope stage("fallback", "ingest", ingest_obs().fallback_us);
+    const ByteSpan win = st.at_stream_start() ? ByteSpan() : st.window();
+    ByteRun run = decode_byte_run(source, source_size, st.cur_bit(),
+                                  t.next_grid_byte, max_output, win, ws);
+    RunCheck& check = t.more.emplace_back();
+    check.segments = byte_segment_crcs(run.out, run.members);
+    st.append_bytes(run.end_bit, run.status, run.members.size(), run.out);
+    check.members = std::move(run.members);
+  }
 }
 
 /// The speculative build as a bounded pipeline on the pool. Every
@@ -394,9 +417,11 @@ Bytes decode_in_order(serve::ByteSource& source, std::uint64_t source_size,
 class SpeculativeBuild {
  public:
   SpeculativeBuild(serve::ByteSource& source, std::uint64_t source_size,
-                   std::vector<ChunkTask>& cells, Stitcher& stitch, std::size_t slots)
+                   std::uint64_t max_output, std::vector<ChunkTask>& cells,
+                   Stitcher& stitch, std::size_t slots)
       : source_(source),
         source_size_(source_size),
+        max_output_(max_output),
         cells_(cells),
         stitch_(stitch),
         slots_(slots),
@@ -477,9 +502,9 @@ class SpeculativeBuild {
     switch (job.kind) {
       case Kind::kDecode:
         if (t.byte_mode) {
-          run_byte_task(source_, source_size_, t, ws);
+          run_byte_task(source_, source_size_, max_output_, t, ws);
         } else {
-          run_marker_task(source_, source_size_, t, slot.tokens, ws);
+          run_marker_task(source_, source_size_, max_output_, t, slot.tokens, ws);
         }
         ingest_obs().boundary_candidates.add(t.stats.candidates);
         ingest_obs().boundary_bits_scanned.add(t.stats.bits_scanned);
@@ -503,28 +528,27 @@ class SpeculativeBuild {
       t.members.clear();  // speculation past the real run: not stream data
       return false;
     }
+    bool patch = false;
     if (!stitch_.hit(t)) {
       // Speculation missed (no boundary, or a boundary the stream did
-      // not actually stop at): decode this cell in order.
+      // not actually stop at): the in-order runs below decode the cell.
       ingest_obs().chunk_fallbacks.inc();
-      const Bytes out = decode_in_order(source_, source_size_, stitch_, t, ws);
-      stitch_.append_bytes(t, out);
-      return false;
-    }
-    if (t.byte_mode) {
-      stitch_.append_bytes(t, t.bytes);
+      t.members.clear();
+    } else if (t.byte_mode) {
+      stitch_.append_bytes(t.end_bit, t.status, t.members.size(), t.bytes);
       t.bytes = Bytes();
-      return false;
-    }
-    if (slot.tokens.empty()) {
+    } else if (slot.tokens.empty()) {
       t.segments = byte_segment_crcs(ByteSpan(), t.members);
       stitch_.append_tokens(t, slot.tokens);
-      return false;
+    } else {
+      const ByteSpan window = stitch_.window();
+      std::copy(window.begin(), window.end(), slot.window.begin());
+      stitch_.append_tokens(t, slot.tokens);
+      patch = true;
     }
-    const ByteSpan window = stitch_.window();
-    std::copy(window.begin(), window.end(), slot.window.begin());
-    stitch_.append_tokens(t, slot.tokens);
-    return true;
+    // A hit that stopped at the output cap leaves the cell's rest here.
+    finish_in_order(source_, source_size_, max_output_, stitch_, t, ws);
+    return patch;
   }
 
   void complete(const Job& job, bool patch) EXCLUDES(mu_) {
@@ -557,6 +581,7 @@ class SpeculativeBuild {
 
   serve::ByteSource& source_;
   const std::uint64_t source_size_;
+  const std::uint64_t max_output_;  // output cap of one run
   // Cells, slots and the stitcher are handed between participants by
   // claim() and complete(), never used by two at once.
   std::vector<ChunkTask>& cells_;
@@ -592,6 +617,7 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
   const std::uint64_t data_begin = first.header_bytes;
 
   const std::uint64_t chunk_comp = std::max<std::uint64_t>(options.chunk_size, 4096);
+  const std::uint64_t max_output = kChunkOutputPerPitch * chunk_comp;
   const std::size_t n =
       static_cast<std::size_t>(div_ceil(S - data_begin, chunk_comp));
   const std::size_t par =
@@ -612,7 +638,7 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
   if (par > 1 && n > 1) {
     // Twice the parallelism in slots keeps every participant busy while
     // bounding the token streams held in memory at once.
-    SpeculativeBuild pipeline(source, S, cells, st, std::min(n, 2 * par));
+    SpeculativeBuild pipeline(source, S, max_output, cells, st, std::min(n, 2 * par));
     std::vector<WorkerScratch> scratch(par);
     options.pool->parallel_for_worker(par, [&](std::size_t worker, std::size_t) {
       pipeline.participate(scratch[worker]);
@@ -623,9 +649,7 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
     WorkerScratch ws;
     for (ChunkTask& t : cells) {
       if (st.eos()) break;
-      if (st.eaten(t)) continue;
-      const Bytes out = decode_in_order(source, S, st, t, ws);
-      st.append_bytes(t, out);
+      finish_in_order(source, S, max_output, st, t, ws);
     }
   }
 

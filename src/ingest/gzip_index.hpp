@@ -6,9 +6,10 @@
 // on a byte grid, speculatively find a DEFLATE block boundary near
 // each grid point (inflate.hpp's strong header filter), decode every
 // chunk in parallel into (literal, marker) token streams, then stitch
-// them in order. The stitch is O(window) per chunk: it patches only the
-// last 32 KiB of a chunk's tokens, which is its successor's true
-// window. Patching the rest of the chunk against its own start window,
+// them in order. A chunk's output is capped (kChunkOutputPerPitch), so
+// a highly compressible cell becomes several chunks. The stitch is
+// O(window) per chunk: it patches only the last 32 KiB of a chunk's
+// tokens, which is its successor's true window. Patching the rest of the chunk against its own start window,
 // fused with the CRC32 of the patched bytes, runs on the pool. Chunks
 // whose speculation missed (boundary not found, or found a different
 // bit than the stitch arrived at) fall back to a sequential byte
@@ -53,6 +54,14 @@ struct GzipChunk {
   std::uint64_t window_offset = 0;  // into the shared window pool
   std::uint32_t window_bytes = 0;   // 0 (stream start) or kWindowSize
 };
+
+/// A chunk also ends at the first block boundary after it produced
+/// this many times the grid pitch in output, so the output one chunk
+/// holds (in the build and in a session's cache) is bounded by the
+/// pitch, not by the compression ratio: at most kChunkOutputPerPitch x
+/// chunk_size plus one DEFLATE block. A cell whose output runs past the
+/// cap is finished in order, one capped chunk at a time.
+inline constexpr std::uint64_t kChunkOutputPerPitch = 8;
 
 struct GzipIndexOptions {
   /// Compressed bytes per chunk (grid pitch). Larger chunks amortize

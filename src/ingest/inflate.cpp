@@ -310,7 +310,7 @@ void ByteSink::copy(std::uint32_t length, std::uint32_t distance) {
 void GrowingByteSink::copy(std::uint32_t length, std::uint32_t distance) {
   guard_growth(length);
   reserve_for(buf_, length);  // keep self-referencing pushes cheap
-  const std::uint64_t rel = produced() - member_base_;
+  const std::uint64_t rel = buf_.size() - member_base_;
   std::uint32_t remaining = length;
   if (distance > rel) {
     const std::uint64_t from_window = distance - rel;
@@ -322,31 +322,11 @@ void GrowingByteSink::copy(std::uint32_t length, std::uint32_t distance) {
     buf_.insert(buf_.end(), wsrc, wsrc + n);
     remaining -= n;
   }
-  // In-buffer overlap copy. The buffer always retains at least the last
-  // kWindowSize >= distance bytes (maybe_flush keeps that tail), so the
-  // source index cannot underrun flushed data.
+  // In-buffer overlap copy: the window part is exhausted, so the source
+  // lies inside the member's output.
   for (std::uint32_t k = 0; k < remaining; ++k) {
     buf_.push_back(buf_[buf_.size() - distance]);
   }
-  maybe_flush();
-}
-
-void GrowingByteSink::maybe_flush() {
-  if (flush_ == nullptr || buf_.size() < flush_threshold_ ||
-      buf_.size() <= kWindowSize) {
-    return;
-  }
-  const std::size_t n = buf_.size() - kWindowSize;
-  flush_(flush_ctx_, ByteSpan(buf_.data(), n));
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n));
-  flushed_ += n;
-}
-
-void GrowingByteSink::finish() {
-  if (flush_ == nullptr) return;
-  flush_(flush_ctx_, ByteSpan(buf_.data(), buf_.size()));
-  flushed_ += buf_.size();
-  buf_.clear();
 }
 
 void MarkerSink::copy(std::uint32_t length, std::uint32_t distance) {
@@ -396,7 +376,8 @@ namespace {
 template <typename Sink>
 ChunkStatus run_chunk(ByteSpan data, std::uint64_t start_bit,
                       std::uint64_t stop_bit, std::uint64_t stream_end_byte,
-                      Sink& sink, InflateScratch& s, ChunkResult& result) {
+                      Sink& sink, InflateScratch& s, ChunkResult& result,
+                      std::uint64_t stop_output) {
   result.members.clear();
   result.end_bit = 0;
   // A partial slice turns "ran past the data" into grow-and-retry; a
@@ -409,7 +390,7 @@ ChunkStatus run_chunk(ByteSpan data, std::uint64_t start_bit,
   };
   try {
     while (true) {
-      if (br.bit_pos() >= stop_bit) {
+      if (br.bit_pos() >= stop_bit || sink.produced() >= stop_output) {
         result.end_bit = br.bit_pos();
         return ChunkStatus::kStopped;
       }
@@ -447,13 +428,13 @@ ChunkStatus run_chunk(ByteSpan data, std::uint64_t start_bit,
         ev.isize = br.read(32);
         if (br.overflowed()) return bail("gzip: member trailer truncated");
         ev.out_offset = sink.produced();
-        ev.trailer_end_byte = br.bit_pos() >> 3;
         result.members.push_back(ev);
-        if (ev.trailer_end_byte == stream_end_byte) {
+        const std::uint64_t trailer_end_byte = br.bit_pos() >> 3;
+        if (trailer_end_byte == stream_end_byte) {
           result.end_bit = br.bit_pos();
           return ChunkStatus::kEndOfStream;
         }
-        check_corrupt(ev.trailer_end_byte < stream_end_byte,
+        check_corrupt(trailer_end_byte < stream_end_byte,
                       "gzip: member trailer past the end of the stream");
         skip_member_header(br);
         if (br.overflowed()) return bail("gzip: member header truncated");
@@ -474,21 +455,24 @@ ChunkStatus run_chunk(ByteSpan data, std::uint64_t start_bit,
 ChunkStatus inflate_chunk(ByteSpan data, std::uint64_t start_bit,
                           std::uint64_t stop_bit, std::uint64_t stream_end_byte,
                           ByteSink& sink, InflateScratch& s, ChunkResult& result) {
-  return run_chunk(data, start_bit, stop_bit, stream_end_byte, sink, s, result);
+  return run_chunk(data, start_bit, stop_bit, stream_end_byte, sink, s, result,
+                   kNoOutputStop);
 }
 
 ChunkStatus inflate_chunk(ByteSpan data, std::uint64_t start_bit,
                           std::uint64_t stop_bit, std::uint64_t stream_end_byte,
                           GrowingByteSink& sink, InflateScratch& s,
-                          ChunkResult& result) {
-  return run_chunk(data, start_bit, stop_bit, stream_end_byte, sink, s, result);
+                          ChunkResult& result, std::uint64_t stop_output) {
+  return run_chunk(data, start_bit, stop_bit, stream_end_byte, sink, s, result,
+                   stop_output);
 }
 
 ChunkStatus inflate_chunk(ByteSpan data, std::uint64_t start_bit,
                           std::uint64_t stop_bit, std::uint64_t stream_end_byte,
                           MarkerSink& sink, InflateScratch& s,
-                          ChunkResult& result) {
-  return run_chunk(data, start_bit, stop_bit, stream_end_byte, sink, s, result);
+                          ChunkResult& result, std::uint64_t stop_output) {
+  return run_chunk(data, start_bit, stop_bit, stream_end_byte, sink, s, result,
+                   stop_output);
 }
 
 }  // namespace gompresso::ingest

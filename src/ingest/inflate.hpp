@@ -140,66 +140,39 @@ class ByteSink {
 };
 
 /// Resolved-byte sink with growing storage (index build, sequential
-/// fallback, pipe streaming). `flush` (optional) is invoked with
-/// resolved bytes once the buffer passes `flush_threshold`; the last
-/// kWindowSize bytes are always retained so references stay in reach.
+/// fallback): the whole chunk output stays in bytes().
 class GrowingByteSink {
  public:
-  using FlushFn = void (*)(void* ctx, ByteSpan chunk);
-
   GrowingByteSink(ByteSpan start_window, std::uint64_t max_output)
       : window_(start_window), max_output_(max_output) {}
 
-  /// Enables streaming: resolved bytes beyond the retained window are
-  /// handed to `flush(ctx, span)` once the buffer exceeds `threshold`.
-  void enable_flush(FlushFn flush, void* ctx, std::size_t threshold) {
-    flush_ = flush;
-    flush_ctx_ = ctx;
-    flush_threshold_ = threshold;
-  }
+  std::uint64_t produced() const { return buf_.size(); }
 
-  std::uint64_t produced() const { return flushed_ + buf_.size(); }
-
-  /// Buffered (unflushed) bytes; the whole output when flush is off.
   Bytes& bytes() { return buf_; }
-
-  /// Flushes everything (end of stream or member boundary: references
-  /// are done). With flushing on, the callback runs even for an empty
-  /// piece, so a consumer sees every boundary.
-  void finish();
 
   void push(std::uint8_t b) {
     guard_growth(1);
     buf_.push_back(b);
-    maybe_flush();
   }
 
   void copy(std::uint32_t length, std::uint32_t distance);
 
-  /// Member boundary: references never cross it, so a flushing sink
-  /// hands over everything buffered and each flushed piece lies within
-  /// one member.
+  /// Member boundary: references never cross it.
   void reset_window() {
     window_ = ByteSpan();
-    member_base_ = produced();
-    finish();
+    member_base_ = buf_.size();
   }
 
  private:
   void guard_growth(std::uint64_t n) {
-    check_corrupt(produced() + n <= max_output_,
+    check_corrupt(buf_.size() + n <= max_output_,
                   "gzip: chunk output exceeds the deflate expansion bound");
   }
-  void maybe_flush();
 
   Bytes buf_;
-  std::uint64_t flushed_ = 0;
   ByteSpan window_;
   std::uint64_t member_base_ = 0;
   std::uint64_t max_output_ = 0;
-  FlushFn flush_ = nullptr;
-  void* flush_ctx_ = nullptr;
-  std::size_t flush_threshold_ = 0;
 };
 
 /// Marker-token sink for chunks whose window is unknown: literals and
@@ -253,11 +226,10 @@ struct MemberEvent {
   std::uint64_t out_offset = 0;  // chunk-relative bytes produced at the end
   std::uint32_t crc32 = 0;       // trailer CRC32 of the whole member
   std::uint32_t isize = 0;       // trailer ISIZE (length mod 2^32)
-  std::uint64_t trailer_end_byte = 0;  // slice-relative byte past the trailer
 };
 
 enum class ChunkStatus {
-  kStopped,      // reached stop_bit at a block boundary
+  kStopped,      // reached stop_bit (or stop_output) at a block boundary
   kEndOfStream,  // final member's trailer consumed at stream_end_byte
   kNeedMoreData, // ran past `data` but the stream continues — grow the
                  // slice and retry (chunk decode is idempotent)
@@ -269,24 +241,30 @@ struct ChunkResult {
   std::vector<MemberEvent> members;
 };
 
+/// No output bound on a chunk decode: it stops at stop_bit only.
+inline constexpr std::uint64_t kNoOutputStop = ~std::uint64_t{0};
+
 /// Decodes DEFLATE blocks from slice-relative `start_bit` (which must
 /// be a block start) until the first block boundary at/after
-/// `stop_bit`, or until the stream ends (a member trailer closing at
-/// `stream_end_byte`, also slice-relative; it may exceed data.size()
-/// when the slice is partial — that is what kNeedMoreData reports).
-/// Member transitions inside the chunk are consumed here: trailer
-/// parse (recorded in result.members), next header skip, window reset.
+/// `stop_bit` or after the sink produced `stop_output` bytes, or until
+/// the stream ends (a member trailer closing at `stream_end_byte`,
+/// also slice-relative; it may exceed data.size() when the slice is
+/// partial — that is what kNeedMoreData reports). Member transitions
+/// inside the chunk are consumed here: trailer parse (recorded in
+/// result.members), next header skip, window reset.
 ChunkStatus inflate_chunk(ByteSpan data, std::uint64_t start_bit,
                           std::uint64_t stop_bit, std::uint64_t stream_end_byte,
                           ByteSink& sink, InflateScratch& s, ChunkResult& result);
 ChunkStatus inflate_chunk(ByteSpan data, std::uint64_t start_bit,
                           std::uint64_t stop_bit, std::uint64_t stream_end_byte,
                           GrowingByteSink& sink, InflateScratch& s,
-                          ChunkResult& result);
+                          ChunkResult& result,
+                          std::uint64_t stop_output = kNoOutputStop);
 ChunkStatus inflate_chunk(ByteSpan data, std::uint64_t start_bit,
                           std::uint64_t stop_bit, std::uint64_t stream_end_byte,
                           MarkerSink& sink, InflateScratch& s,
-                          ChunkResult& result);
+                          ChunkResult& result,
+                          std::uint64_t stop_output = kNoOutputStop);
 
 /// Worst-case DEFLATE expansion of `comp_bytes` compressed bytes (a
 /// match emits <= 258 bytes for two 1-bit codes), plus slack for a

@@ -1,8 +1,9 @@
 // Regression tests for the CLI process surface: SIGINT mid-`gomp cat
 // --trace` must still finish the trace file and exit 130, SIGTERM
 // against `gomp serve` must drain gracefully and exit 0, and `gomp d`
-// must decode every container the sniffer accepts (GMPZ, GMPS, gzip)
-// and exit 1 on a lying gzip trailer. Every test fork/execs the real
+// must decode every container the sniffer accepts (GMPZ, GMPS, gzip,
+// and gzip on a pipe) and exit 1 on a lying gzip trailer, and `gomp
+// info` must describe each of them. Every test fork/execs the real
 // binary (a sibling of this test executable) so the handlers, the
 // TraceGuard teardown order, and the exit codes are exercised exactly as
 // a user would hit them.
@@ -110,21 +111,33 @@ Bytes read_bytes(const std::string& path) {
   return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 }
 
+/// Runs `gomp <args>` to completion; returns the exit status and leaves
+/// the child's stdout in `out` and its stderr in `err`.
+int run_cli(const std::vector<std::string>& args, std::string& out,
+            std::string& err) {
+  const std::string out_path = temp_path("cli.out");
+  const std::string err_path = temp_path("cli.err");
+  const int out_fd = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  const int err_fd = ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  const pid_t pid = spawn_cli(args, out_fd, err_fd);
+  close(out_fd);
+  close(err_fd);
+  const int status = wait_for_exit(pid, 60000);
+  const Bytes out_bytes = read_bytes(out_path);
+  const Bytes err_bytes = read_bytes(err_path);
+  out.assign(out_bytes.begin(), out_bytes.end());
+  err.assign(err_bytes.begin(), err_bytes.end());
+  std::remove(out_path.c_str());
+  std::remove(err_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
 /// Runs `gomp d input output` to completion; returns the exit status and
 /// leaves the child's stderr in `err`.
 int run_decompress(const std::string& input, const std::string& output,
                    std::string& err) {
-  const std::string err_path = output + ".err";
-  const int err_fd = ::open(err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
-  const int null_fd = ::open("/dev/null", O_WRONLY);
-  const pid_t pid = spawn_cli({"d", input, output}, null_fd, err_fd);
-  close(err_fd);
-  close(null_fd);
-  const int status = wait_for_exit(pid, 60000);
-  const Bytes err_bytes = read_bytes(err_path);
-  err.assign(err_bytes.begin(), err_bytes.end());
-  std::remove(err_path.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::string out;
+  return run_cli({"d", input, output}, out, err);
 }
 
 bool have_gzip_binary() {
@@ -182,7 +195,58 @@ TEST(CliDecompress, RoundTripsSystemGzip) {
   write_bytes(raw, input);
   ASSERT_EQ(std::system(("gzip -6 -n -c " + raw + " > " + gz).c_str()), 0);
   std::remove(raw.c_str());
+
+  // Piped: `cat | gomp d /dev/stdin` cannot seek its input, so this
+  // reaches the pipe path (a `< file` redirect would be seekable).
+  const std::string piped = gz + ".piped";
+  ASSERT_EQ(std::system(("cat " + gz + " | " + cli_binary() + " d /dev/stdin " +
+                         piped + " >/dev/null")
+                            .c_str()),
+            0);
+  EXPECT_EQ(read_bytes(piped), input);
+  std::remove(piped.c_str());
+
   expect_decompress_roundtrip(gz, input);
+}
+
+TEST(CliInfo, SniffsGmpzGmpsAndGzip) {
+  const Bytes input = datagen::wikipedia(300000);
+  CompressOptions opt;
+  opt.block_size = 16 * 1024;
+  const std::string gmpz = temp_path("info.gmpz");
+  write_bytes(gmpz, compress(input, opt));
+  std::string out;
+  std::string err;
+  EXPECT_EQ(run_cli({"info", gmpz}, out, err), 0) << err;
+  EXPECT_NE(out.find("container:           gmpz\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("uncompressed size:   300000 B\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("blocks:              19\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("segments:            1\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("block size:          16384 B\n"), std::string::npos) << out;
+  std::remove(gmpz.c_str());
+
+  const std::string raw = temp_path("info_input");
+  write_bytes(raw, input);
+  const std::string gmps = temp_path("info.gmps");
+  compress_file(raw, gmps, opt, 64 * 1024);  // five segments
+  EXPECT_EQ(run_cli({"info", gmps}, out, err), 0) << err;
+  EXPECT_NE(out.find("container:           gmps\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("uncompressed size:   300000 B\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("segments:            5\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("codec:               Gompresso/Bit\n"), std::string::npos) << out;
+  std::remove(gmps.c_str());
+
+  if (have_gzip_binary()) {
+    const std::string gz = temp_path("info.gz");
+    ASSERT_EQ(std::system(("gzip -6 -n -c " + raw + " > " + gz).c_str()), 0);
+    EXPECT_EQ(run_cli({"info", gz}, out, err), 0) << err;
+    EXPECT_NE(out.find("container:           gzip\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("uncompressed size:   300000 B\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("members:             1\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("blocks:              1\n"), std::string::npos) << out;
+    std::remove(gz.c_str());
+  }
+  std::remove(raw.c_str());
 }
 
 TEST(CliDecompress, LyingGzipTrailerExitsOne) {

@@ -21,8 +21,10 @@
 //     the parallel build checks member trailers chained across cells;
 //   - stage reconciliation: a traced parallel build records one stitch
 //     per indexed chunk and one patch+CRC per speculative chunk;
-//   - the pipe fallback: gzip on a non-seekable stream decodes through
-//     decompress_stream's sequential path.
+//   - the pipe: gzip on a non-seekable stream is buffered and decoded
+//     through the same open() + DecodeSession path, with the same typed
+//     errors (truncation, reserved FLG bits, lying trailers, trailing
+//     garbage) and the same bytes at 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -116,6 +118,57 @@ Bytes gzip_store_member(ByteSpan data, std::uint8_t flags = 0,
     out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
     out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
     out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
+  }
+  return out;
+}
+
+/// In-process writer of a highly compressible gzip member: its output
+/// is `pairs` x (`kAnchorZeros` zeros in a stored block, then a
+/// fixed-Huffman block of `matches` length-258 distance-1 copies), all
+/// zeros. Each copy costs 13 bits for 258 bytes (about 160x), and the
+/// stored blocks are the boundaries the speculative scan can anchor on
+/// (it never accepts a fixed block).
+constexpr std::size_t kAnchorZeros = 16;
+
+Bytes gzip_zero_runs_member(std::size_t pairs, std::size_t matches) {
+  Bytes out = {0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255};
+  std::uint32_t acc = 0;
+  int nbits = 0;
+  const auto put = [&](std::uint32_t v, int bits) {  // LSB first
+    for (int i = 0; i < bits; ++i) {
+      acc |= ((v >> i) & 1u) << nbits;
+      if (++nbits == 8) {
+        out.push_back(static_cast<std::uint8_t>(acc));
+        acc = 0;
+        nbits = 0;
+      }
+    }
+  };
+  const auto code = [&](std::uint32_t c, int bits) {  // Huffman: MSB first
+    for (int i = bits - 1; i >= 0; --i) put((c >> i) & 1u, 1);
+  };
+  const auto align = [&] {
+    if (nbits != 0) put(0, 8 - nbits);
+  };
+  for (std::size_t p = 0; p < pairs; ++p) {
+    put(0, 1);  // BFINAL = 0
+    put(0, 2);  // BTYPE = stored
+    align();
+    put(kAnchorZeros, 16);
+    put(~kAnchorZeros & 0xFFFF, 16);
+    for (std::size_t i = 0; i < kAnchorZeros; ++i) put(0, 8);
+    put(p + 1 == pairs ? 1 : 0, 1);
+    put(1, 2);  // BTYPE = fixed
+    for (std::size_t m = 0; m < matches; ++m) {
+      code(0xC5, 8);  // length code 285 = 258 bytes
+      code(0, 5);     // distance code 0 = distance 1
+    }
+    code(0, 7);  // end of block
+  }
+  align();
+  const Bytes zeros(pairs * (kAnchorZeros + 258 * matches), 0);
+  for (const std::uint32_t v : {crc32(zeros), static_cast<std::uint32_t>(zeros.size())}) {
+    put(v, 32);
   }
   return out;
 }
@@ -243,6 +296,8 @@ TEST(IngestGzip, ReservedFlagBitsAreAFormatError) {
   Bytes file = gzip_store_member(ByteSpan(input.data(), input.size()));
   file[3] |= ingest::kGzipFlagReserved;
   EXPECT_THROW(decode_gzip(ByteSpan(file.data(), file.size())), FormatError);
+  EXPECT_THROW(testing::decompress_pipe(ByteSpan(file.data(), file.size())),
+               FormatError);
 }
 
 TEST(IngestGzip, HeaderCrc16MismatchIsCorruption) {
@@ -254,10 +309,11 @@ TEST(IngestGzip, HeaderCrc16MismatchIsCorruption) {
 }
 
 TEST(IngestGzip, LyingTrailerIsCorruption) {
-  // Both inputs check every member's trailer: the indexed (seekable)
-  // path and the pipe. The two-member case puts the lie behind a first
-  // member larger than the pipe's 1 MiB flush chunk, so the pipe has
-  // already flushed output when the lying trailer arrives.
+  // Both inputs check every member's trailer through the one checker,
+  // verify_member_trailers in the index build: the seekable path, and
+  // the pipe, which indexes its buffered bytes the same way. In the
+  // two-member case the lie sits behind a first member of more than one
+  // kStreamCopyChunk, which spans several index cells on either path.
   const Bytes small = datagen::wikipedia(3000);
   const Bytes large = datagen::wikipedia(kStreamCopyChunk + 300000);
   const Bytes one = gzip_store_member(ByteSpan(small.data(), small.size()));
@@ -287,8 +343,21 @@ TEST(IngestGzip, TruncationAtEveryPrefixThrows) {
   for (std::size_t len = 0; len < file.size(); ++len) {
     EXPECT_THROW(decode_gzip(ByteSpan(file.data(), len)), Error)
         << "prefix " << len;
+    EXPECT_THROW(testing::decompress_pipe(ByteSpan(file.data(), len)), Error)
+        << "pipe, prefix " << len;
   }
   EXPECT_EQ(decode_gzip(ByteSpan(file.data(), file.size())), input);
+  EXPECT_EQ(testing::decompress_pipe(ByteSpan(file.data(), file.size())), input);
+}
+
+TEST(IngestGzip, TrailingGarbageIsCorruption) {
+  const Bytes input = datagen::wikipedia(5000);
+  Bytes file = gzip_store_member(ByteSpan(input.data(), input.size()));
+  // Bytes after the last member that are not another gzip header.
+  for (const std::uint8_t b : {0x00, 0x1F, 0x42, 0xFF}) file.push_back(b);
+  const ByteSpan span(file.data(), file.size());
+  EXPECT_THROW(decode_gzip(span), CorruptionError);
+  EXPECT_THROW(testing::decompress_pipe(span), CorruptionError);
 }
 
 TEST(IngestGzip, OversizedFextraIsTruncation) {
@@ -478,6 +547,63 @@ TEST(IngestGzip, ParallelBuildChecksMemberTrailersAcrossCells) {
   EXPECT_EQ(pi.serialize(), si.serialize());
 }
 
+TEST(IngestGzip, ChunkOutputIsCappedByThePitch) {
+  // About 130x compressible: one 4 KiB cell decodes to about 530 KB.
+  // Every chunk must stop at the first block boundary past
+  // kChunkOutputPerPitch x pitch, on the speculative and the sequential
+  // build alike, with member trailers chained across the extra runs.
+  constexpr std::size_t kPitch = 4096;
+  // A fixed block of 52 copies is 686 bits, so each stored anchor
+  // starts at bit 6 of a byte. Scan candidates a bit or two earlier then
+  // align to the byte before its LEN/NLEN and fail; at any other start
+  // bit one of them would pass as the same block, and miss the stitch.
+  constexpr std::size_t kMatches = 52;  // 13.4 KB per fixed block
+  const Bytes file = gzip_zero_runs_member(/*pairs=*/300, kMatches);
+  const std::size_t total = 300 * (kAnchorZeros + 258 * kMatches);
+  ASSERT_GT(file.size(), 6 * kPitch);
+
+  ThreadPool pool(4);
+  ingest::GzipIndexOptions seq, par;
+  seq.chunk_size = par.chunk_size = kPitch;
+  par.pool = &pool;
+  auto ssrc = serve::memory_source(ByteSpan(file.data(), file.size()));
+  auto psrc = serve::memory_source(ByteSpan(file.data(), file.size()));
+  const ingest::GzipIndex si = ingest::GzipIndex::build(*ssrc, seq);
+  const auto patch_samples = [] {
+    const obs::MetricsSnapshot snap = metrics_snapshot();
+    const obs::MetricValue* m = snap.find("ingest.patch_crc_us");
+    return m != nullptr ? m->hist.count() : 0;
+  };
+  const std::uint64_t patched_before = patch_samples();
+  const ingest::GzipIndex pi = ingest::GzipIndex::build(*psrc, par);
+  // Some cells were speculative hits whose run stopped at the cap, the
+  // rest of the cell then decoded in order.
+  EXPECT_GT(patch_samples(), patched_before);
+  EXPECT_EQ(pi.serialize(), si.serialize());
+
+  ASSERT_EQ(si.total_uncompressed(), total);
+  const std::uint64_t cap = ingest::kChunkOutputPerPitch * kPitch;
+  EXPECT_GT(si.num_chunks(), 4 * div_ceil<std::size_t>(file.size(), kPitch));
+  for (std::size_t i = 0; i < si.num_chunks(); ++i) {
+    EXPECT_LE(si.chunk(i).uncomp_size, cap + kAnchorZeros + 258 * kMatches)
+        << "chunk " << i;
+  }
+
+  const Bytes zeros(total, 0);
+  EXPECT_EQ(decode_gzip(ByteSpan(file.data(), file.size()), 4, kPitch), zeros);
+  EXPECT_EQ(decode_gzip(ByteSpan(file.data(), file.size()), 1, kPitch), zeros);
+  EXPECT_EQ(testing::decompress_pipe(ByteSpan(file.data(), file.size())), zeros);
+  for (const std::size_t back : {std::size_t{2}, std::size_t{6}}) {  // ISIZE, CRC32
+    Bytes bad = file;
+    bad[bad.size() - back] ^= 0x40;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      EXPECT_THROW(decode_gzip(ByteSpan(bad.data(), bad.size()), threads, kPitch),
+                   CorruptionError)
+          << "byte -" << back << ", " << threads << " threads";
+    }
+  }
+}
+
 TEST(IngestGzip, ParallelBuildStagesReconcileWithChunks) {
   // A traced parallel build: the serial stitch runs once per indexed
   // chunk, and the pooled patch+CRC once per chunk that came out of a
@@ -641,29 +767,38 @@ TEST(IngestGzip, TransientFaultsAreAbsorbed) {
   }
 }
 
-// ------------------------------------------------------ pipe fallback
+// ------------------------------------------------------------- pipe
 
-TEST(IngestGzip, PipeFallbackDecodesSequentially) {
-  const Bytes a = datagen::wikipedia(150000);
-  const Bytes b = datagen::random_bytes(30000, 11);
-  Bytes file = gzip_store_member(ByteSpan(a.data(), a.size()));
-  const Bytes second = gzip_store_member(ByteSpan(b.data(), b.size()));
-  file.insert(file.end(), second.begin(), second.end());
+TEST(IngestGzip, PipeMultiMemberMatchesAtOneAndFourThreads) {
+  // Three members over about 1.9 MB of stored blocks: several 512 KiB
+  // index chunks (the pipe builds its index with the default pitch), so
+  // chunks cross member boundaries.
+  const Bytes a = datagen::wikipedia(900000);
+  const Bytes b = datagen::random_bytes(700000, 11);
+  const Bytes c = datagen::wikipedia(300000);
+  Bytes file;
+  Bytes want;
+  for (const Bytes* m : {&a, &b, &c}) {
+    const Bytes member = gzip_store_member(ByteSpan(m->data(), m->size()));
+    file.insert(file.end(), member.begin(), member.end());
+    want.insert(want.end(), m->begin(), m->end());
+  }
+  ASSERT_GT(file.size(), 3 * ingest::GzipIndexOptions{}.chunk_size);
 
-  SequentialBuf buf(std::string(reinterpret_cast<const char*>(file.data()),
-                                file.size()));
-  std::istream in(&buf);
-  ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));  // really not seekable
-  in.clear();
-  std::ostringstream out;
-  const std::uint64_t n = decompress_stream(in, out);
-  ASSERT_EQ(n, a.size() + b.size());
-  const std::string& s = out.str();
-  EXPECT_TRUE(std::equal(a.begin(), a.end(),
-                         reinterpret_cast<const std::uint8_t*>(s.data())));
-  EXPECT_TRUE(std::equal(
-      b.begin(), b.end(),
-      reinterpret_cast<const std::uint8_t*>(s.data()) + a.size()));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SequentialBuf buf(std::string(reinterpret_cast<const char*>(file.data()),
+                                  file.size()));
+    std::istream in(&buf);
+    ASSERT_EQ(in.tellg(), std::istream::pos_type(-1));  // really not seekable
+    in.clear();
+    std::ostringstream out;
+    DecompressOptions opt;
+    opt.num_threads = threads;
+    const std::uint64_t n = decompress_stream(in, out, opt);
+    EXPECT_EQ(n, want.size()) << threads << " threads";
+    const std::string& s = out.str();
+    EXPECT_EQ(Bytes(s.begin(), s.end()), want) << threads << " threads";
+  }
 }
 
 TEST(IngestGzip, SeekableStreamUsesTheSessionPath) {
