@@ -154,6 +154,7 @@ int main(int argc, char** argv) {
                                             sopt.verify_checksums);
     DecodeSession session(std::move(faulty), std::move(backend), sopt);
     handle->set_random_transients(/*rate=*/0.01, /*burst=*/1, /*seed=*/1234);
+    const obs::MetricsSnapshot before = metrics_snapshot();
     std::uint64_t off = 0;
     std::size_t n;
     while ((n = session.read(MutableByteSpan(chunk.data(), chunk.size()))) > 0) {
@@ -164,8 +165,12 @@ int main(int argc, char** argv) {
       off += n;
     }
     check(off == input.size(), "bench: degraded stream size mismatch");
-    const serve::SessionStats st = session.stats();
-    check(st.permanent_errors == 0 && st.bytes_zero_filled == 0,
+    const obs::MetricsSnapshot after = metrics_snapshot();
+    const auto added = [&](const char* name) {
+      return after.counter(name) - before.counter(name);
+    };
+    check(added("serve.permanent_errors") == 0 &&
+              added("serve.bytes_zero_filled") == 0,
           "bench: transient-only plan must surface no permanent damage");
     degraded_transients = handle->stats().transient_failures;
   };

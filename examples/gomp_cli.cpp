@@ -236,28 +236,29 @@ class TraceGuard {
   bool done_ = false;
 };
 
+/// The `gomp cat`/`range` summary. Its decode counters are the process's
+/// `serve.*` metrics: this process runs just the one session.
 void print_session_stats(const DecodeSession& session, std::uint64_t bytes,
                          double seconds) {
-  const serve::SessionStats st = session.stats();
+  const obs::MetricsSnapshot snap = metrics_snapshot();
+  const auto count = [&snap](const char* name) {
+    return static_cast<unsigned long long>(snap.counter(name));
+  };
   std::fprintf(stderr,
                "%llu bytes in %.3fs (%.1f MB/s), %zu blocks indexed, "
                "%llu decoded, %llu cache hits, %llu evictions, "
                "peak pooled %.1f MiB\n",
                static_cast<unsigned long long>(bytes), seconds,
                seconds > 0 ? bytes / 1e6 / seconds : 0.0,
-               session.num_blocks(),
-               static_cast<unsigned long long>(st.blocks_decoded),
-               static_cast<unsigned long long>(st.cache_hits),
-               static_cast<unsigned long long>(st.evictions),
-               st.pool.peak_outstanding_bytes / 1048576.0);
-  if (st.transient_errors > 0 || st.permanent_errors > 0) {
+               session.num_blocks(), count("serve.blocks_decoded"),
+               count("serve.cache_hits"), count("serve.evictions"),
+               session.stats().pool.peak_outstanding_bytes / 1048576.0);
+  if (count("serve.transient_errors") > 0 || count("serve.permanent_errors") > 0) {
     std::fprintf(stderr,
                  "faults: %llu transient (%llu retries), %llu permanent, "
                  "%llu bytes zero-filled\n",
-                 static_cast<unsigned long long>(st.transient_errors),
-                 static_cast<unsigned long long>(st.retries),
-                 static_cast<unsigned long long>(st.permanent_errors),
-                 static_cast<unsigned long long>(st.bytes_zero_filled));
+                 count("serve.transient_errors"), count("serve.retries"),
+                 count("serve.permanent_errors"), count("serve.bytes_zero_filled"));
   }
 }
 
@@ -644,37 +645,11 @@ int cmd_decompress(int argc, char** argv) {
   return 0;
 }
 
-void append_session_json(std::string& out, const serve::SessionStats& st) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"blocks_decoded\":%llu,\"cache_hits\":%llu,\"demand_decodes\":%llu,"
-      "\"prefetch_decodes\":%llu,\"decode_waits\":%llu,\"decode_failures\":%llu,"
-      "\"evictions\":%llu,\"bytes_delivered\":%llu,\"retries\":%llu,"
-      "\"transient_errors\":%llu,\"permanent_errors\":%llu,"
-      "\"degraded_reads\":%llu,\"bytes_zero_filled\":%llu,"
-      "\"pool_peak_bytes\":%llu}",
-      static_cast<unsigned long long>(st.blocks_decoded),
-      static_cast<unsigned long long>(st.cache_hits),
-      static_cast<unsigned long long>(st.demand_decodes),
-      static_cast<unsigned long long>(st.prefetch_decodes),
-      static_cast<unsigned long long>(st.decode_waits),
-      static_cast<unsigned long long>(st.decode_failures),
-      static_cast<unsigned long long>(st.evictions),
-      static_cast<unsigned long long>(st.bytes_delivered),
-      static_cast<unsigned long long>(st.retries),
-      static_cast<unsigned long long>(st.transient_errors),
-      static_cast<unsigned long long>(st.permanent_errors),
-      static_cast<unsigned long long>(st.degraded_reads),
-      static_cast<unsigned long long>(st.bytes_zero_filled),
-      static_cast<unsigned long long>(st.pool.peak_outstanding_bytes));
-  out += buf;
-}
-
 /// `gomp stats`: performs a full sequential read of the archive through
 /// a DecodeSession (each CLI invocation is a fresh process, so this IS
 /// the workload being measured), then dumps the session stats plus the
-/// whole process-wide metrics snapshot.
+/// whole process-wide metrics snapshot (the decode counters are its
+/// `serve.*` metrics; the session itself adds only its pool peak).
 int cmd_stats(int argc, char** argv) {
   serve::SessionOptions opt;
   std::string index_path, fault_spec, trace_path;
@@ -696,7 +671,7 @@ int cmd_stats(int argc, char** argv) {
   if (positional.size() != 1) return usage();
 
   TraceGuard trace(trace_path);
-  serve::SessionStats st;
+  std::uint64_t pool_peak_bytes = 0;
   std::size_t blocks = 0;
   std::uint64_t total = 0;
   double seconds = 0.0;
@@ -713,13 +688,13 @@ int cmd_stats(int argc, char** argv) {
       total += n;
     }
     seconds = timer.seconds();
-    st = session->stats();
+    pool_peak_bytes = session->stats().pool.peak_outstanding_bytes;
   }
   trace.finish();
   const obs::MetricsSnapshot snap = metrics_snapshot();
 
   if (json) {
-    std::string out = "{\"schema_version\":1,\"source\":\"";
+    std::string out = "{\"schema_version\":2,\"source\":\"";
     // Paths with quotes/backslashes would need escaping; the registry's
     // own serializer handles its strings, this one stays simple because
     // the smoke scripts control the path.
@@ -729,9 +704,9 @@ int cmd_stats(int argc, char** argv) {
     char buf[64];
     std::snprintf(buf, sizeof buf, ",\"seconds\":%.6f", seconds);
     out += buf;
-    out += ",\"session\":";
-    append_session_json(out, st);
-    out += ",\"metrics\":";
+    out += ",\"session\":{\"pool_peak_bytes\":";
+    out += std::to_string(pool_peak_bytes);
+    out += "},\"metrics\":";
     out += snap.to_json();
     out += "}\n";
     std::fwrite(out.data(), 1, out.size(), stdout);
@@ -741,15 +716,6 @@ int cmd_stats(int argc, char** argv) {
   std::printf("%s: %llu bytes in %.3fs (%.1f MB/s), %zu blocks\n",
               positional[0].c_str(), static_cast<unsigned long long>(total),
               seconds, seconds > 0 ? total / 1e6 / seconds : 0.0, blocks);
-  std::printf("session: decoded=%llu hits=%llu demand=%llu prefetch=%llu "
-              "waits=%llu evictions=%llu failures=%llu\n",
-              static_cast<unsigned long long>(st.blocks_decoded),
-              static_cast<unsigned long long>(st.cache_hits),
-              static_cast<unsigned long long>(st.demand_decodes),
-              static_cast<unsigned long long>(st.prefetch_decodes),
-              static_cast<unsigned long long>(st.decode_waits),
-              static_cast<unsigned long long>(st.evictions),
-              static_cast<unsigned long long>(st.decode_failures));
   std::printf("metrics:\n");
   for (const obs::MetricValue& m : snap.metrics) {
     switch (m.kind) {

@@ -70,11 +70,6 @@ std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index) {
   return std::make_shared<GzipBackend>(std::move(index));
 }
 
-std::shared_ptr<serve::ContainerBackend> make_gzip_backend(
-    serve::ByteSource& source, const GzipIndexOptions& options) {
-  return std::make_shared<GzipBackend>(GzipIndex::build(source, options));
-}
-
 const GzipIndex* gzip_index(const serve::ContainerBackend& backend) {
   const auto* gzip = dynamic_cast<const GzipBackend*>(&backend);
   return gzip != nullptr ? &gzip->index() : nullptr;

@@ -18,11 +18,6 @@ namespace gompresso::ingest {
 /// Wraps a prebuilt (or sidecar-loaded) index.
 std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index);
 
-/// Builds the index from `source` first (one full decode of the
-/// stream), then wraps it.
-std::shared_ptr<serve::ContainerBackend> make_gzip_backend(
-    serve::ByteSource& source, const GzipIndexOptions& options = {});
-
 /// The GzipIndex behind `backend` (`gomp info` prints its member count), or
 /// nullptr when it is not a gzip backend.
 const GzipIndex* gzip_index(const serve::ContainerBackend& backend);

@@ -82,6 +82,7 @@ struct ChunkTask {
   // Outputs.
   bool ok = false;            // a decode from found_bit/start_bit succeeded
   std::uint64_t found_bit = 0;  // absolute block boundary the decode used
+  std::uint64_t found_last = 0;  // last start that decodes the same
   std::uint64_t end_bit = 0;    // absolute end of the decoded run
   ChunkStatus status = ChunkStatus::kStopped;
   Bytes bytes;                       // byte mode
@@ -262,6 +263,7 @@ void run_marker_task(serve::ByteSource& source, std::uint64_t source_size,
       }
       t.ok = true;
       t.found_bit = 8 * base + cand;
+      t.found_last = 8 * base + last_equivalent_start(span, cand);
       t.end_bit = 8 * base + res.end_bit;
       t.status = status;
       t.members = std::move(res.members);
@@ -278,7 +280,7 @@ void run_byte_task(serve::ByteSource& source, std::uint64_t source_size,
   ByteRun run = decode_byte_run(source, source_size, t.start_bit,
                                 t.next_grid_byte, max_output, ByteSpan(), ws);
   t.ok = true;
-  t.found_bit = t.start_bit;
+  t.found_bit = t.found_last = t.start_bit;
   t.end_bit = run.end_bit;
   t.status = run.status;
   t.bytes = std::move(run.out);
@@ -311,9 +313,12 @@ class Stitcher {
   ByteSpan window() const { return ByteSpan(window_.data(), window_.size()); }
   /// The predecessor's run already decoded past this cell's end.
   bool eaten(const ChunkTask& t) const { return cur_bit_ >= 8 * t.next_grid_byte; }
-  /// A speculative decode started exactly where the stream arrived.
+  /// A speculative decode started where the stream arrived, or at a
+  /// start that decodes the same (ChunkTask::found_last).
   bool hit(const ChunkTask& t) const {
-    return t.ok && (t.byte_mode || (t.found_bit == cur_bit_ && !at_stream_start()));
+    if (!t.ok) return false;
+    if (t.byte_mode) return true;
+    return t.found_bit <= cur_bit_ && cur_bit_ <= t.found_last && !at_stream_start();
   }
 
   /// Appends a run whose output is known as bytes.

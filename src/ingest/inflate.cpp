@@ -267,6 +267,18 @@ std::uint64_t find_block_boundary(ByteSpan data, std::uint64_t begin_bit,
   return kNoBoundary;
 }
 
+std::uint64_t last_equivalent_start(ByteSpan data, std::uint64_t bit) {
+  // Start s reads the same stored block iff bits [s, s + 3) are zero and
+  // end by len_bit, where the candidate's LEN sits.
+  const std::uint64_t len_bit = (bit + 3 + 7) & ~std::uint64_t{7};
+  std::uint64_t zero_end = bit;  // first one bit at or after `bit`
+  while (zero_end < len_bit && (zero_end >> 3) < data.size() &&
+         ((data[zero_end >> 3] >> (zero_end & 7)) & 1u) == 0) {
+    ++zero_end;
+  }
+  return zero_end >= bit + 3 ? zero_end - 3 : bit;
+}
+
 // ---------------------------------------------------------------- sinks
 
 namespace {

@@ -105,6 +105,13 @@ std::uint64_t find_block_boundary(ByteSpan data, std::uint64_t begin_bit,
                                   std::uint64_t end_bit, InflateScratch& s,
                                   BoundaryScanStats* stats = nullptr);
 
+/// The last start bit that decodes exactly as a boundary found at `bit`.
+/// A stored header (BFINAL 0, BTYPE 00) is three zero bits padded to
+/// LEN's byte, so after zero bits (say, an end-of-block code) the scan
+/// finds it early: every start in [bit, result] reads the same block.
+/// For any other header, `bit` itself.
+std::uint64_t last_equivalent_start(ByteSpan data, std::uint64_t bit);
+
 // ---------------------------------------------------------------- sinks
 
 /// Resolved-byte sink over a caller-provided span (the serve-path

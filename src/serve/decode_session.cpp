@@ -9,9 +9,9 @@
 namespace gompresso::serve {
 namespace {
 
-// Serve-plane metrics: every SessionStats counter mirrored as a named
-// process-wide metric, plus the per-read latency histogram the serve
-// daemon's p50/p99 will report from.
+// Serve-plane metrics: the session's counters, process-wide (every
+// session in the process adds into them), and the per-read latency
+// histogram the serve daemon's p50/p99 report from.
 struct ServeObs {
   obs::Counter reads = obs::registry().counter("serve.reads", "reads");
   obs::Histogram read_latency_us =
@@ -44,14 +44,6 @@ struct ServeObs {
 ServeObs& serve_obs() {
   static ServeObs instance;
   return instance;
-}
-
-/// One counter event, recorded in both planes: the session's own
-/// atomic (SessionStats) and the process-wide registry mirror.
-void bump(std::atomic<std::uint64_t>& local, const obs::Counter& global,
-          std::uint64_t n = 1) {
-  local.fetch_add(n, std::memory_order_relaxed);
-  global.add(n);
 }
 
 }  // namespace
@@ -133,10 +125,6 @@ std::size_t DecodeSession::read(MutableByteSpan dst) {
   return n;
 }
 
-std::size_t DecodeSession::read_at(std::uint64_t offset, MutableByteSpan dst) {
-  return read_impl(offset, dst);
-}
-
 Bytes DecodeSession::read_bytes_at(std::uint64_t offset, std::size_t length) {
   // Clamp before allocating: an untrusted range request must produce a
   // short read, not a length-capacity allocation attempt.
@@ -150,7 +138,8 @@ Bytes DecodeSession::read_bytes_at(std::uint64_t offset, std::size_t length) {
   return out;
 }
 
-std::size_t DecodeSession::read_impl(std::uint64_t offset, MutableByteSpan dst) {
+std::size_t DecodeSession::read_impl(std::uint64_t offset, MutableByteSpan dst,
+                                     bool tolerant, DamageReport* report) {
   const std::uint64_t total = size();
   if (offset >= total || dst.empty()) return 0;
   serve_obs().reads.add(1);
@@ -165,70 +154,55 @@ std::size_t DecodeSession::read_impl(std::uint64_t offset, MutableByteSpan dst) 
     const std::size_t in_block = static_cast<std::size_t>(off - e.uncomp_offset);
     const std::size_t take = std::min<std::size_t>(
         n - done, static_cast<std::size_t>(e.uncomp_size) - in_block);
-    fetch_into(b, in_block, take, dst.data() + done);
+    if (tolerant) {
+      fetch_or_zero_fill(b, off, in_block, take, dst.data() + done, report);
+    } else {
+      fetch_into(b, in_block, take, dst.data() + done);
+    }
     done += take;
   }
   return n;
 }
 
-std::size_t DecodeSession::read_at_damage_tolerant(std::uint64_t offset,
-                                                   MutableByteSpan dst,
-                                                   DamageReport* report) {
-  const std::uint64_t total = size();
-  if (offset >= total || dst.empty()) return 0;
-  serve_obs().reads.add(1);
-  obs::StageScope stage("serve_read", "serve", serve_obs().read_latency_us);
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(dst.size(), total - offset));
-  std::size_t done = 0;
-  while (done < n) {
-    const std::uint64_t off = offset + done;
-    const std::size_t b = backend_->block_containing(off);
-    const BackendBlock e = backend_->block(b);
-    const std::size_t in_block = static_cast<std::size_t>(off - e.uncomp_offset);
-    const std::size_t take = std::min<std::size_t>(
-        n - done, static_cast<std::size_t>(e.uncomp_size) - in_block);
-
-    // Known-damaged fast path: a block that already failed permanently
-    // is zero-filled without re-decoding it on every read.
-    bool damaged = false;
-    ErrorKind kind = ErrorKind::kCorruption;
-    std::string message;
-    {
-      util::MutexLock lock(mutex_);
-      if (health_[b] == BlockHealth::kDamaged) {
-        damaged = true;
-        const auto it = damage_.find(b);
-        if (it != damage_.end()) {
-          kind = it->second.kind;
-          message = it->second.message;
-        }
+void DecodeSession::fetch_or_zero_fill(std::size_t block, std::uint64_t offset,
+                                       std::size_t begin, std::size_t len,
+                                       std::uint8_t* out, DamageReport* report) {
+  // Known-damaged fast path: a block that already failed permanently
+  // is zero-filled without re-decoding it on every read.
+  bool damaged = false;
+  ErrorKind kind = ErrorKind::kCorruption;
+  std::string message;
+  {
+    util::MutexLock lock(mutex_);
+    if (health_[block] == BlockHealth::kDamaged) {
+      damaged = true;
+      const auto it = damage_.find(block);
+      if (it != damage_.end()) {
+        kind = it->second.kind;
+        message = it->second.message;
       }
     }
-    if (!damaged) {
-      try {
-        fetch_into(b, in_block, take, dst.data() + done);
-        done += take;
-        continue;
-      } catch (const Error& err) {
-        // Config-class errors are API misuse, not data damage — degrade
-        // only on typed failures (permanent damage, or an IoError that
-        // already survived the whole RetryPolicy inside decode_task).
-        if (err.kind() == ErrorKind::kConfig) throw;
-        kind = err.kind();
-        message = err.what();
-      }
-    }
-    std::memset(dst.data() + done, 0, take);
-    bump(counters_.degraded_reads, serve_obs().degraded_reads);
-    bump(counters_.bytes_zero_filled, serve_obs().bytes_zero_filled, take);
-    if (report != nullptr) {
-      report->extents.push_back(
-          DamagedExtent{off, take, b, kind, std::move(message)});
-    }
-    done += take;
   }
-  return n;
+  if (!damaged) {
+    try {
+      fetch_into(block, begin, len, out);
+      return;
+    } catch (const Error& err) {
+      // Config-class errors are API misuse, not data damage — degrade
+      // only on typed failures (permanent damage, or an IoError that
+      // already survived the whole RetryPolicy inside decode_task).
+      if (err.kind() == ErrorKind::kConfig) throw;
+      kind = err.kind();
+      message = err.what();
+    }
+  }
+  std::memset(out, 0, len);
+  serve_obs().degraded_reads.add(1);
+  serve_obs().bytes_zero_filled.add(len);
+  if (report != nullptr) {
+    report->extents.push_back(
+        DamagedExtent{offset, len, block, kind, std::move(message)});
+  }
 }
 
 DamageReport DecodeSession::verify_archive() {
@@ -277,19 +251,19 @@ void DecodeSession::schedule_locked(std::uint64_t first,
 // The lock juggling through the reference parameter is invisible to the
 // thread-safety analysis (see the declaration); callers hold mutex_ on
 // entry and get it back on return.
-void DecodeSession::dispatch(util::MutexLock& lock,
-                             const std::vector<std::uint64_t>& to_run,
+bool DecodeSession::dispatch(util::MutexLock& lock,
                              std::uint64_t demanded) NO_THREAD_SAFETY_ANALYSIS {
-  if (to_run.empty()) return;
+  std::vector<std::uint64_t> to_run;
+  schedule_locked(demanded, to_run);
+  if (to_run.empty()) return false;
   // The demanded block is demand-driven work even when a pool worker
   // runs it (the reader is about to block on it); only the lookahead
   // beyond it is prefetch. schedule_locked puts the demanded block
   // first when it schedules it at all.
   const std::size_t demand = to_run.front() == demanded ? 1 : 0;
-  if (demand != 0) bump(counters_.demand_decodes, serve_obs().demand_decodes);
+  if (demand != 0) serve_obs().demand_decodes.add(1);
   if (to_run.size() > demand) {
-    bump(counters_.prefetch_decodes, serve_obs().prefetch_decodes,
-         to_run.size() - demand);
+    serve_obs().prefetch_decodes.add(to_run.size() - demand);
   }
   lock.unlock();
   for (const std::uint64_t b : to_run) {
@@ -300,37 +274,31 @@ void DecodeSession::dispatch(util::MutexLock& lock,
     }
   }
   lock.lock();
+  return demand != 0;
 }
 
 void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
                                std::size_t len, std::uint8_t* out) {
   util::MutexLock lock(mutex_);
-  std::vector<std::uint64_t> to_run;
-  schedule_locked(block, to_run);
-  const bool scheduled_here =
-      !to_run.empty() && to_run.front() == block;
-  dispatch(lock, to_run, block);
+  const bool scheduled_here = dispatch(lock, block);
   bool first_look = true;
   while (true) {
     const auto it = slots_.find(block);
     if (it == slots_.end()) {
       // Evicted between completion and consumption (possible only under
       // heavy concurrent random access) — schedule it again.
-      to_run.clear();
-      schedule_locked(block, to_run);
-      dispatch(lock, to_run, block);
+      dispatch(lock, block);
       first_look = false;
       continue;
     }
     const std::shared_ptr<Slot> slot = it->second;
     if (slot->state == Slot::State::kReady) {
-      if (first_look && !scheduled_here)
-        bump(counters_.cache_hits, serve_obs().cache_hits);
+      if (first_look && !scheduled_here) serve_obs().cache_hits.add(1);
       lru_.erase(slot->lru_it);
       lru_.push_front(block);
       slot->lru_it = lru_.begin();
       slot->delivered = true;
-      bump(counters_.bytes_delivered, serve_obs().bytes_delivered, len);
+      serve_obs().bytes_delivered.add(len);
       // Pin the slot and copy outside the lock: a block-sized memcpy
       // under mutex_ would serialize concurrent readers and stall every
       // decode task trying to publish. Eviction skips slots with
@@ -369,9 +337,7 @@ void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
           continue;
         }
         slots_.erase(block);
-        to_run.clear();
-        schedule_locked(block, to_run);
-        dispatch(lock, to_run, block);
+        dispatch(lock, block);
         first_look = false;
         continue;
       }
@@ -391,7 +357,7 @@ void DecodeSession::fetch_into(std::uint64_t block, std::size_t begin,
       std::rethrow_exception(error);
     }
     ++slot->waiters;
-    bump(counters_.decode_waits, serve_obs().decode_waits);
+    serve_obs().decode_waits.add(1);
     while (slot->state == Slot::State::kScheduled) ready_cv_.wait(mutex_);
     --slot->waiters;
     first_look = false;
@@ -438,7 +404,7 @@ void DecodeSession::decode_task(std::uint64_t block) {
       slot.state = Slot::State::kReady;
       --inflight_;
       ++ready_count_;
-      bump(counters_.blocks_decoded, serve_obs().blocks_decoded);
+      serve_obs().blocks_decoded.add(1);
       lru_.push_front(block);
       slot.lru_it = lru_.begin();
       evict_excess_locked();
@@ -470,9 +436,9 @@ void DecodeSession::decode_task(std::uint64_t block) {
       const bool within_deadline =
           policy.deadline_us == 0 || slept_us + backoff <= policy.deadline_us;
       const bool retry = attempt < policy.max_attempts && within_deadline;
-      bump(counters_.transient_errors, serve_obs().transient_errors);
-      if (retry) bump(counters_.retries, serve_obs().retries);
+      serve_obs().transient_errors.add(1);
       if (retry) {
+        serve_obs().retries.add(1);
         backoff_sleep(backoff);
         slept_us += backoff;
         continue;
@@ -481,7 +447,7 @@ void DecodeSession::decode_task(std::uint64_t block) {
 
     util::MutexLock lock(mutex_);
     if (kind == ErrorKind::kCorruption || kind == ErrorKind::kFormat) {
-      bump(counters_.permanent_errors, serve_obs().permanent_errors);
+      serve_obs().permanent_errors.add(1);
       health_[static_cast<std::size_t>(block)] = BlockHealth::kDamaged;
       damage_[block] = BlockDamage{kind, what};
     }
@@ -492,7 +458,7 @@ void DecodeSession::decode_task(std::uint64_t block) {
     slot.error_what = std::move(what);
     slot.error = untyped;
     --inflight_;
-    bump(counters_.decode_failures, serve_obs().decode_failures);
+    serve_obs().decode_failures.add(1);
     ready_cv_.notify_all();
     return;
   }
@@ -510,38 +476,13 @@ void DecodeSession::evict_excess_locked() {
         slots_.erase(victim);
         lru_.erase(it);
         --ready_count_;
-        bump(counters_.evictions, serve_obs().evictions);
+        serve_obs().evictions.add(1);
         evicted = true;
         break;
       }
     }
     if (!evicted) break;  // every ready block has a waiter — overshoot
   }
-}
-
-SessionStats DecodeSession::stats() const {
-  // Lock-free snapshot: each field is one relaxed atomic load, so this
-  // never stalls a decode task and never observes a torn counter.
-  const AtomicCounters& c = counters_;
-  const auto load = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  SessionStats s;
-  s.blocks_decoded = load(c.blocks_decoded);
-  s.cache_hits = load(c.cache_hits);
-  s.demand_decodes = load(c.demand_decodes);
-  s.prefetch_decodes = load(c.prefetch_decodes);
-  s.decode_waits = load(c.decode_waits);
-  s.decode_failures = load(c.decode_failures);
-  s.evictions = load(c.evictions);
-  s.bytes_delivered = load(c.bytes_delivered);
-  s.retries = load(c.retries);
-  s.transient_errors = load(c.transient_errors);
-  s.permanent_errors = load(c.permanent_errors);
-  s.degraded_reads = load(c.degraded_reads);
-  s.bytes_zero_filled = load(c.bytes_zero_filled);
-  s.pool = buffers_->stats();
-  return s;
 }
 
 }  // namespace gompresso::serve

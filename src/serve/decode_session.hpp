@@ -28,9 +28,12 @@
 // serialized by a dedicated lock held across the whole read, so
 // concurrent read() calls deliver disjoint consecutive ranges; which
 // thread gets which range is whatever order the scheduler picks.
+//
+// Counters: a session counts its events (reads, decodes, cache hits,
+// waits, retries, damage) only as the obs registry's `serve.*` metrics,
+// which sum every session in the process and follow set_enabled().
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <list>
 #include <memory>
@@ -149,21 +152,9 @@ enum class BlockHealth : std::uint8_t {
   kDamaged,      // failed with a permanent error — will not be retried
 };
 
+/// Per-session state only; the counters are `serve.*` registry metrics.
 struct SessionStats {
-  std::uint64_t blocks_decoded = 0;   // decode tasks completed
-  std::uint64_t cache_hits = 0;       // reads served from an already-decoded block
-  std::uint64_t demand_decodes = 0;   // blocks a reader demanded (and waited on)
-  std::uint64_t prefetch_decodes = 0; // lookahead blocks decoded ahead of demand
-  std::uint64_t decode_waits = 0;     // reader blocked on an in-flight block
-  std::uint64_t decode_failures = 0;  // decode tasks that ended in an error
-  std::uint64_t evictions = 0;        // decoded blocks dropped by the LRU
-  std::uint64_t bytes_delivered = 0;
-  std::uint64_t retries = 0;           // backoff retries after transient errors
-  std::uint64_t transient_errors = 0;  // IoError observations (incl. retried-away)
-  std::uint64_t permanent_errors = 0;  // corruption/format decode failures
-  std::uint64_t degraded_reads = 0;    // damage-tolerant reads that zero-filled
-  std::uint64_t bytes_zero_filled = 0; // bytes substituted for damaged data
-  util::BufferPool::Stats pool;       // the memory-bound witness (bench_serve)
+  util::BufferPool::Stats pool;  // the memory-bound witness (bench_serve)
 };
 
 class DecodeSession {
@@ -192,7 +183,9 @@ class DecodeSession {
 
   /// Positional read, cursor untouched; same return convention. Decoded
   /// blocks stay in the LRU, so re-reads of warm ranges do not decode.
-  std::size_t read_at(std::uint64_t offset, MutableByteSpan dst);
+  std::size_t read_at(std::uint64_t offset, MutableByteSpan dst) {
+    return read_impl(offset, dst);
+  }
 
   /// Convenience: positional read returning the bytes (shorter than
   /// `length` only at end of data).
@@ -205,7 +198,9 @@ class DecodeSession {
   /// `report` (when given). Every byte outside a damaged block is
   /// exact. Returns the same short-only-at-EOF count as read_at().
   std::size_t read_at_damage_tolerant(std::uint64_t offset, MutableByteSpan dst,
-                                      DamageReport* report = nullptr);
+                                      DamageReport* report = nullptr) {
+    return read_impl(offset, dst, /*tolerant=*/true, report);
+  }
 
   /// Scrubs the whole archive: decodes every block (damage-tolerantly,
   /// through the cache) and returns the ranges that cannot be served.
@@ -230,14 +225,9 @@ class DecodeSession {
   /// SeekIndex of a GMPZ/GMPS session (nullptr for foreign formats).
   const ContainerBackend& backend() const { return *backend_; }
 
-  /// Coherent snapshot of the session's counters. Each field is an
-  /// atomic relaxed load — no lock, so readers and decode tasks are
-  /// never stalled by stats polling, and no counter can be observed
-  /// mid-update (the old struct copy read fields one by one while tasks
-  /// mutated them). Cross-field invariants settle once in-flight work
-  /// quiesces. Every counter is also mirrored into the process-wide
-  /// obs registry under `serve.*`.
-  SessionStats stats() const;
+  /// The buffer-pool witness (a shared buffer_pool reports everything
+  /// leased from it). Decode counters: `serve.*` in obs::metrics_snapshot().
+  SessionStats stats() const { return SessionStats{buffers_->stats()}; }
 
  private:
   struct Slot {
@@ -268,38 +258,25 @@ class DecodeSession {
     std::string message;
   };
 
-  /// SessionStats' counters as relaxed atomics: decode tasks and
-  /// readers bump them lock-free, stats() loads them without mutex_.
-  struct AtomicCounters {
-    std::atomic<std::uint64_t> blocks_decoded{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> demand_decodes{0};
-    std::atomic<std::uint64_t> prefetch_decodes{0};
-    std::atomic<std::uint64_t> decode_waits{0};
-    std::atomic<std::uint64_t> decode_failures{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> bytes_delivered{0};
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> transient_errors{0};
-    std::atomic<std::uint64_t> permanent_errors{0};
-    std::atomic<std::uint64_t> degraded_reads{0};
-    std::atomic<std::uint64_t> bytes_zero_filled{0};
-  };
-
   void init();
   void backoff_sleep(std::uint64_t us);
-  std::size_t read_impl(std::uint64_t offset, MutableByteSpan dst)
+  // The one block walk behind every read; `tolerant` zero-fills damage.
+  std::size_t read_impl(std::uint64_t offset, MutableByteSpan dst,
+                        bool tolerant = false, DamageReport* report = nullptr)
       EXCLUDES(mutex_);
+  void fetch_or_zero_fill(std::size_t block, std::uint64_t offset,
+                          std::size_t begin, std::size_t len, std::uint8_t* out,
+                          DamageReport* report) EXCLUDES(mutex_);
   void fetch_into(std::uint64_t block, std::size_t begin, std::size_t len,
                   std::uint8_t* out) EXCLUDES(mutex_);
   void schedule_locked(std::uint64_t first, std::vector<std::uint64_t>& to_run)
       REQUIRES(mutex_);
+  // Schedules `demanded` and submits the picks; true if they include it.
   // Drops and reacquires `lock` (which guards mutex_) around the task
   // submissions. The analysis cannot follow a capability through a
   // reference parameter, so the definition opts out; callers are still
   // checked against the REQUIRES.
-  void dispatch(util::MutexLock& lock, const std::vector<std::uint64_t>& to_run,
-                std::uint64_t demanded) REQUIRES(mutex_);
+  bool dispatch(util::MutexLock& lock, std::uint64_t demanded) REQUIRES(mutex_);
   void decode_task(std::uint64_t block) EXCLUDES(mutex_);
   void evict_excess_locked() REQUIRES(mutex_);
 
@@ -328,7 +305,6 @@ class DecodeSession {
   std::size_t inflight_ GUARDED_BY(mutex_) = 0;     // slots in kScheduled state
   std::size_t ready_count_ GUARDED_BY(mutex_) = 0;  // slots in kReady state
   std::uint64_t cursor_ GUARDED_BY(cursor_mutex_) = 0;
-  AtomicCounters counters_;
   std::vector<BlockHealth> health_ GUARDED_BY(mutex_);  // per block
   std::unordered_map<std::uint64_t, BlockDamage> damage_
       GUARDED_BY(mutex_);  // kDamaged blocks

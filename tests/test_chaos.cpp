@@ -62,6 +62,7 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
       opt.cache_blocks = 4;  // small cache forces re-decodes (fresh faults)
       opt.sleep_hook = [](std::uint64_t) {};  // backoff without wall time
       DecodeSession session = test::gmpz_session(std::move(faulty), opt);
+      const test::ServeDelta delta;
 
       // Armed after the scan; burst 2 < max_attempts 3 makes absorption
       // a certainty, not a probability.
@@ -114,13 +115,12 @@ TEST(Chaos, TransientPlansAreFullyAbsorbedUnderConcurrency) {
       ASSERT_FALSE(failed) << "codec " << static_cast<int>(codec) << " trial "
                            << trial;
       ASSERT_EQ(sequential, f.input);
-      const serve::SessionStats st = session.stats();
-      EXPECT_EQ(st.permanent_errors, 0u);
-      EXPECT_EQ(st.bytes_zero_filled, 0u);
+      EXPECT_EQ(delta("permanent_errors"), 0u);
+      EXPECT_EQ(delta("bytes_zero_filled"), 0u);
       // The plan did fire (rate 0.3 over dozens of block reads) and was
       // absorbed invisibly.
       EXPECT_GT(handle->stats().transient_failures, 0u);
-      EXPECT_EQ(st.retries, st.transient_errors);
+      EXPECT_EQ(delta("retries"), delta("transient_errors"));
     }
   }
 }
@@ -170,6 +170,7 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
               serve::memory_source(ByteSpan(f.file.data(), f.file.size())),
               std::move(plan)),
           serve::make_gmpz_backend(serve::SeekIndex(index)), opt);
+      const test::ServeDelta delta;
 
       // Zero-filling compressed bytes can, rarely, reproduce a block
       // that still decodes (e.g. zeroing bytes that were already zero).
@@ -230,7 +231,7 @@ TEST(Chaos, CorruptionPlansDamageExactlyTheChosenBlocks) {
               << "clean block " << b << " not recovered exactly";
         }
       }
-      EXPECT_EQ(session.stats().retries, 0u);  // corruption is never retried
+      EXPECT_EQ(delta("retries"), 0u);  // corruption is never retried
     }
   }
 }

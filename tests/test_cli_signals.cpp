@@ -2,8 +2,9 @@
 // --trace` must still finish the trace file and exit 130, SIGTERM
 // against `gomp serve` must drain gracefully and exit 0, and `gomp d`
 // must decode every container the sniffer accepts (GMPZ, GMPS, gzip,
-// and gzip on a pipe) and exit 1 on a lying gzip trailer, and `gomp
-// info` must describe each of them. Every test fork/execs the real
+// and gzip on a pipe) and exit 1 on a lying gzip trailer, `gomp info`
+// must describe each of them, and `gomp stats --json` must report the
+// decode counters only as registry metrics. Every test fork/execs the real
 // binary (a sibling of this test executable) so the handlers, the
 // TraceGuard teardown order, and the exit codes are exercised exactly as
 // a user would hit them.
@@ -247,6 +248,33 @@ TEST(CliInfo, SniffsGmpzGmpsAndGzip) {
     std::remove(gz.c_str());
   }
   std::remove(raw.c_str());
+}
+
+TEST(CliStats, JsonSessionIsThePoolPeakAndMetricsCountEveryBlock) {
+  const Bytes input = datagen::wikipedia(300000);
+  CompressOptions opt;
+  opt.block_size = 16 * 1024;
+  const std::string gmpz = temp_path("stats.gmpz");
+  write_bytes(gmpz, compress(input, opt));  // 19 blocks
+  std::string out;
+  std::string err;
+  ASSERT_EQ(run_cli({"stats", "--json", gmpz}, out, err), 0) << err;
+  EXPECT_NE(out.find("{\"schema_version\":2,"), std::string::npos) << out;
+  // "session" holds one field, the pool peak.
+  const std::string session = "\"session\":{\"pool_peak_bytes\":";
+  const std::size_t at = out.find(session);
+  ASSERT_NE(at, std::string::npos) << out;
+  const std::size_t digits = at + session.size();
+  const std::size_t end = out.find_first_not_of("0123456789", digits);
+  ASSERT_NE(end, std::string::npos) << out;
+  EXPECT_GT(end, digits) << out;
+  EXPECT_EQ(out[end], '}') << out;
+  // A full read decodes each block once; the registry counts it.
+  EXPECT_NE(out.find("{\"name\":\"serve.blocks_decoded\",\"kind\":\"counter\","
+                     "\"unit\":\"blocks\",\"value\":19}"),
+            std::string::npos)
+      << out;
+  std::remove(gmpz.c_str());
 }
 
 TEST(CliDecompress, LyingGzipTrailerExitsOne) {

@@ -15,6 +15,7 @@
 #include "datagen/datasets.hpp"
 #include "gmpz_session.hpp"
 #include "serve/fault_source.hpp"
+#include "sidecar_fuzz.hpp"
 
 namespace gompresso {
 namespace {
@@ -255,10 +256,11 @@ TEST(ErrorTaxonomy, CrcMismatchIsCorruptionError) {
   opt.num_threads = 1;
   DecodeSession session = test::gmpz_session(
       serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
+  const test::ServeDelta delta;
   Bytes buf(f.input.size());
   EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
                CorruptionError);
-  EXPECT_GE(session.stats().permanent_errors, 1u);
+  EXPECT_GE(delta("permanent_errors"), 1u);
 }
 
 TEST(ErrorTaxonomy, IstreamSourceDeviceFailureIsIoError) {
@@ -314,6 +316,29 @@ TEST(ErrorTaxonomy, SidecarShorterThanHeaderIsFormatError) {
   }
   EXPECT_THROW(serve::SeekIndex::load(path), FormatError);
   std::remove(path.c_str());
+}
+
+TEST(ErrorTaxonomy, MutatedGmpxSidecarsParseOrFailTyped) {
+  // A GMPX sidecar of a three-segment GMPS stream, mutated: each mutant
+  // parses or throws FormatError, and one that parses serves the real
+  // stream to the end or throws a typed error.
+  const Bytes input = datagen::wikipedia(300000);
+  std::istringstream in(std::string(input.begin(), input.end()));
+  std::ostringstream out;
+  CompressOptions opt;
+  opt.block_size = 32 * 1024;
+  compress_stream(in, out, opt, 100000);
+  const std::string blob = out.str();
+  const Bytes stream(blob.begin(), blob.end());
+  const auto source = serve::memory_source(ByteSpan(stream.data(), stream.size()));
+  const serve::SeekIndex index = serve::SeekIndex::build(*source);
+  ASSERT_EQ(index.num_segments(), 3u);
+
+  const testing::SidecarFuzzCounts counts = testing::fuzz_sidecar(
+      index.serialize(), stream, "/tmp/gompresso_fault_sidecar_fuzz.gmpx",
+      [](ByteSpan m) { serve::SeekIndex::deserialize(m); });
+  EXPECT_GT(counts.rejected, 0);
+  EXPECT_GT(counts.loaded, 0);
 }
 
 TEST(SourceReader, TrySeekReportsPastEndInsteadOfThrowing) {
@@ -432,17 +457,17 @@ TEST(DecodeSession, RetryAbsorbsTransientFaults) {
   opt.retry.jitter = 0;  // exact ladder for this test
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
   DecodeSession session = test::gmpz_session(std::move(faulty), opt);
+  const test::ServeDelta delta;
 
   handle->inject(serve::FaultSpec::transient_any(2));  // < max_attempts = 3
   Bytes buf(1000);
   ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
 
-  const serve::SessionStats st = session.stats();
-  EXPECT_EQ(st.transient_errors, 2u);
-  EXPECT_EQ(st.retries, 2u);
-  EXPECT_EQ(st.permanent_errors, 0u);
-  EXPECT_EQ(st.decode_failures, 0u);
+  EXPECT_EQ(delta("transient_errors"), 2u);
+  EXPECT_EQ(delta("retries"), 2u);
+  EXPECT_EQ(delta("permanent_errors"), 0u);
+  EXPECT_EQ(delta("decode_failures"), 0u);
   // Deterministic backoff ladder: 500, then 1000.
   ASSERT_EQ(sleeps.size(), 2u);
   EXPECT_EQ(sleeps[0], 500u);
@@ -458,6 +483,7 @@ TEST(DecodeSession, RetryExhaustionSurfacesIoErrorAndHealthStaysUnknown) {
   opt.num_threads = 1;
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
   DecodeSession session = test::gmpz_session(std::move(faulty), opt);
+  const test::ServeDelta delta;
 
   handle->inject(serve::FaultSpec::transient_any(3));  // == max_attempts
   Bytes buf(1000);
@@ -471,8 +497,8 @@ TEST(DecodeSession, RetryExhaustionSurfacesIoErrorAndHealthStaysUnknown) {
   ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
   EXPECT_EQ(session.block_health(0), serve::BlockHealth::kGood);
-  EXPECT_EQ(session.stats().transient_errors, 3u);
-  EXPECT_EQ(session.stats().retries, 2u);
+  EXPECT_EQ(delta("transient_errors"), 3u);
+  EXPECT_EQ(delta("retries"), 2u);
 }
 
 TEST(DecodeSession, DeadlineCapsCumulativeBackoff) {
@@ -505,11 +531,12 @@ TEST(DecodeSession, PermanentErrorsAreNeverRetried) {
   opt.sleep_hook = [&sleeps](std::uint64_t us) { sleeps.push_back(us); };
   DecodeSession session = test::gmpz_session(
       serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
+  const test::ServeDelta delta;
   Bytes buf(f.input.size());
   EXPECT_THROW(session.read_at(0, MutableByteSpan(buf.data(), buf.size())),
                CorruptionError);
   EXPECT_TRUE(sleeps.empty());
-  EXPECT_EQ(session.stats().retries, 0u);
+  EXPECT_EQ(delta("retries"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +549,7 @@ TEST(DecodeSession, BestEffortReadZeroFillsExactlyTheDamagedBlock) {
   opt.num_threads = 1;
   DecodeSession session = test::gmpz_session(
       serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
+  const test::ServeDelta delta;
 
   Bytes got(f.input.size());
   serve::DamageReport report;
@@ -548,16 +576,16 @@ TEST(DecodeSession, BestEffortReadZeroFillsExactlyTheDamagedBlock) {
       ASSERT_EQ(got[i], f.input[i]) << i;
     }
   }
-  EXPECT_EQ(report.damaged_bytes(), session.stats().bytes_zero_filled);
-  EXPECT_GE(session.stats().degraded_reads, 1u);
+  EXPECT_EQ(report.damaged_bytes(), delta("bytes_zero_filled"));
+  EXPECT_GE(delta("degraded_reads"), 1u);
 
   // Re-reading hits the known-damaged fast path (no second decode).
-  const std::uint64_t decoded_before = session.stats().blocks_decoded;
+  const std::uint64_t decoded_before = delta("blocks_decoded");
   serve::DamageReport again;
   session.read_at_damage_tolerant(0, MutableByteSpan(got.data(), got.size()),
                                   &again);
   EXPECT_EQ(again.damaged_bytes(), report.damaged_bytes());
-  EXPECT_EQ(session.stats().blocks_decoded, decoded_before);
+  EXPECT_EQ(delta("blocks_decoded"), decoded_before);
 }
 
 TEST(DecodeSession, VerifyArchiveReportsPerBlockHealth) {
@@ -591,11 +619,12 @@ TEST(DecodeSession, CleanArchiveVerifiesClean) {
   opt.num_threads = 1;
   DecodeSession session = test::gmpz_session(
       serve::memory_source(ByteSpan(f.file.data(), f.file.size())), opt);
+  const test::ServeDelta delta;
   EXPECT_TRUE(session.verify_archive().clean());
   for (std::size_t b = 0; b < session.num_blocks(); ++b) {
     EXPECT_EQ(session.block_health(b), serve::BlockHealth::kGood);
   }
-  EXPECT_EQ(session.stats().bytes_zero_filled, 0u);
+  EXPECT_EQ(delta("bytes_zero_filled"), 0u);
 }
 
 TEST(DecodeSession, BestEffortDegradesExhaustedTransientsWithoutMarkingDamage) {

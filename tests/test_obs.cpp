@@ -21,6 +21,7 @@
 
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
+#include "gmpz_session.hpp"
 
 namespace gompresso {
 namespace {
@@ -433,8 +434,8 @@ TEST(Trace, DisabledTracerRecordsNothing) {
 TEST(Trace, SessionSpansReconcileWithBlocksDecoded) {
   // A traced sequential sweep over a multi-block all-coded archive must
   // emit exactly one entropy_decode and one resolve span per block the
-  // session says it decoded, and the global decode.blocks counter must
-  // advance by the same amount.
+  // registry says the session decoded, the global decode.blocks counter
+  // must advance by the same amount, and a scan decodes each block once.
   const Bytes input = datagen::wikipedia(300000);  // compressible: all coded
   CompressOptions copt;
   copt.block_size = 32 * 1024;
@@ -444,9 +445,10 @@ TEST(Trace, SessionSpansReconcileWithBlocksDecoded) {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.start();
 
-  std::uint64_t blocks_decoded = 0;
+  std::size_t num_blocks = 0;
   {
     auto session = gompresso::open(serve::memory_source(file));
+    num_blocks = session->num_blocks();
     Bytes got(input.size());
     std::size_t off = 0, n = 0;
     Bytes chunk(64 * 1024);
@@ -457,13 +459,13 @@ TEST(Trace, SessionSpansReconcileWithBlocksDecoded) {
     }
     EXPECT_EQ(off, input.size());
     EXPECT_EQ(got, input);
-    const serve::SessionStats st = session->stats();
-    blocks_decoded = st.blocks_decoded;
-    EXPECT_EQ(st.decode_failures, 0u);
   }  // session dtor joins in-flight prefetch before we stop the tracer
 
   tracer.stop();
   const obs::MetricsSnapshot after = obs::metrics_snapshot();
+  const std::uint64_t blocks_decoded =
+      test::ServeDelta::between(before, after, "blocks_decoded");
+  EXPECT_EQ(test::ServeDelta::between(before, after, "decode_failures"), 0u);
 
   EXPECT_GT(blocks_decoded, 4u);  // genuinely multi-block
   std::uint64_t entropy_spans = 0, resolve_spans = 0, serve_spans = 0;
@@ -483,9 +485,7 @@ TEST(Trace, SessionSpansReconcileWithBlocksDecoded) {
   // All-coded archive: the stored-block path must not have fired.
   EXPECT_EQ(after.counter("decode.stored_blocks"),
             before.counter("decode.stored_blocks"));
-  EXPECT_EQ(after.counter("serve.blocks_decoded") -
-                before.counter("serve.blocks_decoded"),
-            blocks_decoded);
+  EXPECT_EQ(blocks_decoded, num_blocks);
 }
 
 TEST(Metrics, GlobalSnapshotTracksDecodeWork) {
@@ -504,31 +504,31 @@ TEST(Metrics, GlobalSnapshotTracksDecodeWork) {
 // --------------------------------------------------------- TSan coverage
 
 TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
-  // The lock-free stats() snapshot racing demand decodes, prefetch, and
-  // cache hits: every reader must observe monotonically non-decreasing
-  // counters and no torn values (TSan asserts the absence of data races
-  // on the underlying atomics).
+  // Registry snapshots and the session's stats() racing demand decodes,
+  // prefetch, and cache hits: every snapshot must observe monotonically
+  // non-decreasing serve.* counters and pool peaks, and no torn values
+  // (TSan asserts the absence of data races on the underlying state).
   const Bytes input = datagen::wikipedia(200000);
   CompressOptions copt;
   copt.block_size = 16 * 1024;
   const Bytes file = compress(input, copt);
   auto session = gompresso::open(serve::memory_source(file));
+  const test::ServeDelta delta;
 
   std::atomic<bool> done{false};
   std::thread poller([&] {
-    serve::SessionStats last;
+    obs::MetricsSnapshot last = obs::metrics_snapshot();
+    std::uint64_t last_peak = 0;
     while (!done.load(std::memory_order_relaxed)) {
-      const serve::SessionStats st = session->stats();
-      EXPECT_GE(st.blocks_decoded, last.blocks_decoded);
-      EXPECT_GE(st.bytes_delivered, last.bytes_delivered);
-      EXPECT_GE(st.cache_hits, last.cache_hits);
-      EXPECT_GE(st.demand_decodes, last.demand_decodes);
-      last = st;
-    }
-  });
-  std::thread snapshotter([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      (void)obs::metrics_snapshot();  // races worker-side counter adds
+      obs::MetricsSnapshot st = obs::metrics_snapshot();  // races counter adds
+      for (const char* name : {"serve.blocks_decoded", "serve.bytes_delivered",
+                               "serve.cache_hits", "serve.demand_decodes"}) {
+        EXPECT_GE(st.counter(name), last.counter(name)) << name;
+      }
+      last = std::move(st);
+      const std::uint64_t peak = session->stats().pool.peak_outstanding_bytes;
+      EXPECT_GE(peak, last_peak);
+      last_peak = peak;
     }
   });
 
@@ -549,11 +549,9 @@ TEST(Stats, ConcurrentReadersSeeMonotonicCounters) {
   for (auto& t : readers) t.join();
   done.store(true, std::memory_order_relaxed);
   poller.join();
-  snapshotter.join();
 
-  const serve::SessionStats st = session->stats();
-  EXPECT_GT(st.blocks_decoded, 0u);
-  EXPECT_GT(st.bytes_delivered, 0u);
+  EXPECT_GT(delta("blocks_decoded"), 0u);
+  EXPECT_GT(delta("bytes_delivered"), 0u);
 }
 
 }  // namespace

@@ -206,6 +206,7 @@ TEST(DecodeSession, RandomizedReadAtFuzzAgainstBatchSlices) {
     serve::SessionOptions opt;
     opt.cache_blocks = 3;  // small cache to force evictions and re-decodes
     auto session = f.session(opt);
+    const test::ServeDelta delta;
     Rng rng(codec == Codec::kBit ? 11u : 22u);
     for (int i = 0; i < 120; ++i) {
       const std::uint64_t off = rng.next_below(static_cast<std::uint32_t>(batch.size() + 50));
@@ -221,29 +222,28 @@ TEST(DecodeSession, RandomizedReadAtFuzzAgainstBatchSlices) {
                              batch.begin() + static_cast<long>(off)))
           << "codec " << static_cast<int>(codec) << " offset " << off;
     }
-    const serve::SessionStats st = session.stats();
-    EXPECT_GT(st.evictions, 0u);  // the small cache really was exercised
-    EXPECT_GT(st.cache_hits, 0u);
+    EXPECT_GT(delta("evictions"), 0u);  // the small cache really was exercised
+    EXPECT_GT(delta("cache_hits"), 0u);
   }
 }
 
 TEST(DecodeSession, LruMakesRereadsCacheHits) {
   const Fixture f;
   auto session = f.session();
+  const test::ServeDelta delta;
   Bytes buf(100);
   session.read_at(1000, MutableByteSpan(buf.data(), buf.size()));
   // Decodes are counted when scheduled: blocks_decoded counts completions,
   // and block 0's readahead may still be completing during the rereads.
-  const auto scheduled = [](const serve::SessionStats& st) {
-    return st.demand_decodes + st.prefetch_decodes;
+  const auto scheduled = [&delta] {
+    return delta("demand_decodes") + delta("prefetch_decodes");
   };
-  const std::uint64_t decoded_once = scheduled(session.stats());
+  const std::uint64_t decoded_once = scheduled();
   for (int i = 0; i < 10; ++i) {
     session.read_at(1000 + i, MutableByteSpan(buf.data(), buf.size()));
   }
-  const serve::SessionStats st = session.stats();
-  EXPECT_EQ(scheduled(st), decoded_once);  // no re-decode
-  EXPECT_GE(st.cache_hits, 10u);
+  EXPECT_EQ(scheduled(), decoded_once);  // no re-decode
+  EXPECT_GE(delta("cache_hits"), 10u);
 }
 
 TEST(DecodeSession, MemoryStaysBoundedBySmallCache) {
@@ -255,6 +255,7 @@ TEST(DecodeSession, MemoryStaysBoundedBySmallCache) {
   opt.max_inflight_blocks = 2;
   opt.cache_blocks = 2;
   auto session = f.session(opt);
+  const test::ServeDelta delta;
   ASSERT_GE(session.num_blocks(), 25u);
   Bytes all(f.input.size());
   session.read(MutableByteSpan(all.data(), all.size()));
@@ -264,7 +265,7 @@ TEST(DecodeSession, MemoryStaysBoundedBySmallCache) {
   // output buffer (2 x window, +1 slack for a demanded block), the LRU
   // holds cache_blocks more — far below the 25 blocks of the file.
   EXPECT_LE(pool.peak_outstanding, 2u * (2u + 1u) + 2u);
-  EXPECT_GT(session.stats().evictions, 0u);
+  EXPECT_GT(delta("evictions"), 0u);
 }
 
 TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
@@ -273,6 +274,7 @@ TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
   opt.num_threads = 4;  // real workers even on a 1-vCPU host
   opt.max_inflight_blocks = 4;
   auto session = f.session(opt);
+  const test::ServeDelta delta;
   Bytes out;
   Bytes chunk(30000);
   std::size_t n;
@@ -280,14 +282,14 @@ TEST(DecodeSession, PrefetchPipelineDeliversIdenticalBytes) {
     out.insert(out.end(), chunk.begin(), chunk.begin() + static_cast<long>(n));
   }
   EXPECT_EQ(out, f.input);
-  const serve::SessionStats st = session.stats();
-  EXPECT_EQ(st.blocks_decoded, session.num_blocks());
+  const std::uint64_t decoded = delta("blocks_decoded");
+  EXPECT_EQ(decoded, session.num_blocks());
   // The first read demands block 0 (nothing is prefetched yet) — a
   // demand decode even though a pool worker runs it; from then on the
   // pipeline stays ahead and the rest are lookahead decodes.
-  EXPECT_GE(st.demand_decodes, 1u);
-  EXPECT_GT(st.prefetch_decodes, 0u);
-  EXPECT_EQ(st.demand_decodes + st.prefetch_decodes, st.blocks_decoded);
+  EXPECT_GE(delta("demand_decodes"), 1u);
+  EXPECT_GT(delta("prefetch_decodes"), 0u);
+  EXPECT_EQ(delta("demand_decodes") + delta("prefetch_decodes"), decoded);
 }
 
 // Readahead policy: the window is spent only on reads that continue a
@@ -298,6 +300,7 @@ TEST(DecodeSession, ScatteredReadAtsDecodeOnlyTheirOwnBlocks) {
   serve::SessionOptions opt;
   opt.num_threads = 4;
   auto session = f.session(opt);
+  const test::ServeDelta delta;
   const std::size_t blocks[] = {3, 12, 7, 20};  // never a successor of a read block
   for (const std::size_t b : blocks) {
     const std::uint64_t off = session.block_extent(b).uncomp_offset + 100;
@@ -306,9 +309,8 @@ TEST(DecodeSession, ScatteredReadAtsDecodeOnlyTheirOwnBlocks) {
     EXPECT_TRUE(std::equal(got.begin(), got.end(),
                            f.input.begin() + static_cast<long>(off)));
   }
-  const serve::SessionStats st = session.stats();
-  EXPECT_EQ(st.prefetch_decodes, 0u);
-  EXPECT_EQ(st.blocks_decoded, std::size(blocks));
+  EXPECT_EQ(delta("prefetch_decodes"), 0u);
+  EXPECT_EQ(delta("blocks_decoded"), std::size(blocks));
 }
 
 TEST(DecodeSession, ForwardSweepsKeepTheReadaheadWindow) {
@@ -317,17 +319,19 @@ TEST(DecodeSession, ForwardSweepsKeepTheReadaheadWindow) {
   opt.num_threads = 4;
   {
     auto session = f.session(opt);
+    const test::ServeDelta delta;
     Bytes out(f.input.size());
     for (std::size_t off = 0; off < out.size(); off += 10000) {
       const std::size_t len = std::min<std::size_t>(10000, out.size() - off);
       ASSERT_EQ(session.read_at(off, MutableByteSpan(out.data() + off, len)), len);
     }
     EXPECT_EQ(out, f.input);
-    EXPECT_GT(session.stats().prefetch_decodes, 0u);
+    EXPECT_GT(delta("prefetch_decodes"), 0u);
   }
   auto session = f.session(opt);
+  const test::ServeDelta delta;
   EXPECT_TRUE(session.verify_archive().clean());
-  EXPECT_GT(session.stats().prefetch_decodes, 0u);
+  EXPECT_GT(delta("prefetch_decodes"), 0u);
 }
 
 TEST(DecodeSession, SeekThenReadPrefetchesFromItsSecondBlock) {
@@ -335,6 +339,7 @@ TEST(DecodeSession, SeekThenReadPrefetchesFromItsSecondBlock) {
   serve::SessionOptions opt;
   opt.num_threads = 4;
   auto session = f.session(opt);
+  const test::ServeDelta delta;
   const serve::BackendBlock mid = session.block_extent(10);
   const std::uint64_t start = mid.uncomp_offset + 1000;
   const std::size_t rest_of_block = static_cast<std::size_t>(mid.uncomp_size) - 1000;
@@ -342,14 +347,14 @@ TEST(DecodeSession, SeekThenReadPrefetchesFromItsSecondBlock) {
   Bytes got(rest_of_block + 40000);
   // The first read ends inside the block it seeked into: a lone demand.
   ASSERT_EQ(session.read(MutableByteSpan(got.data(), rest_of_block)), rest_of_block);
-  EXPECT_EQ(session.stats().prefetch_decodes, 0u);
-  EXPECT_EQ(session.stats().blocks_decoded, 1u);
+  EXPECT_EQ(delta("prefetch_decodes"), 0u);
+  EXPECT_EQ(delta("blocks_decoded"), 1u);
   // Reading on into block 11 continues the stream and fills the window.
   const std::size_t more = got.size() - rest_of_block;
   ASSERT_EQ(session.read(MutableByteSpan(got.data() + rest_of_block, more)), more);
   EXPECT_TRUE(std::equal(got.begin(), got.end(),
                          f.input.begin() + static_cast<long>(start)));
-  EXPECT_GT(session.stats().prefetch_decodes, 0u);
+  EXPECT_GT(delta("prefetch_decodes"), 0u);
 }
 
 TEST(DecodeSession, ConcurrentRandomReadsFromManyThreads) {
@@ -540,6 +545,7 @@ TEST(DecodeSession, TransientSourceFailureIsRetriable) {
   opt.num_threads = 1;  // deterministic: decode inline on the reader
   opt.retry.max_attempts = 1;
   DecodeSession session = test::gmpz_session(std::move(flaky), opt);
+  const test::ServeDelta delta;
 
   handle->inject(serve::FaultSpec::transient_any(1));  // arm after the index scan
   Bytes buf(1000);
@@ -547,7 +553,7 @@ TEST(DecodeSession, TransientSourceFailureIsRetriable) {
   // The same range succeeds once the fault clears.
   ASSERT_EQ(session.read_at(0, MutableByteSpan(buf.data(), buf.size())), 1000u);
   EXPECT_TRUE(std::equal(buf.begin(), buf.end(), f.input.begin()));
-  EXPECT_EQ(session.stats().transient_errors, 1u);
+  EXPECT_EQ(delta("transient_errors"), 1u);
 }
 
 TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
@@ -565,6 +571,7 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
   opt.max_inflight_blocks = 2;
   opt.retry.max_attempts = 1;
   DecodeSession session = test::gmpz_session(std::move(flaky), opt);
+  const test::ServeDelta delta;
 
   // Fail exactly the prefetch read of block 1, scheduled as lookahead
   // by the first read of block 0.
@@ -579,10 +586,10 @@ TEST(DecodeSession, StalePrefetchFailureRetriedTransparently) {
   // the failure directly, which is the delivered-error path, not this
   // test's subject). decode_failures is bumped when the slot publishes,
   // so polling it is race-free.
-  for (int i = 0; i < 2000 && session.stats().decode_failures == 0; ++i) {
+  for (int i = 0; i < 2000 && delta("decode_failures") == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(session.stats().decode_failures, 1u);
+  ASSERT_EQ(delta("decode_failures"), 1u);
 
   const std::uint64_t off = session.block_extent(1).uncomp_offset;
   Bytes got(1000);
