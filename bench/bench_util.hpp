@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/block_parallel.hpp"
 #include "core/gompresso.hpp"
 #include "sim/decompress.hpp"
 #include "sim/energy_model.hpp"
@@ -84,6 +85,18 @@ inline DecompressMeasurement measure_decompress(ByteSpan file, std::size_t input
   m.profile.spilled_refs = m.result.multipass.spilled_refs;
   m.profile.spilled_bytes = m.result.multipass.spilled_bytes;
   return m;
+}
+
+/// Block-parallel decode speed of a baseline codec's compress_parallel()
+/// `file` at `threads` (0 = the shared default pool, 1 = the calling
+/// thread alone), best of 2, with a byte-exact round-trip check.
+inline double baseline_decode_gb_per_s(const baselines::Codec& codec, ByteSpan file,
+                                       const Bytes& input, std::size_t threads) {
+  Bytes out;
+  const double seconds = time_best_of(
+      2, [&] { out = baselines::decompress_parallel(codec, file, threads, false); });
+  check(out == input, "bench: baseline round trip failed");
+  return gb_per_sec(input.size(), seconds);
 }
 
 inline void print_header(const char* title) {

@@ -24,7 +24,8 @@ Bytes compress_parallel(const Codec& codec, ByteSpan input,
                         std::uint32_t block_size = kDefaultCpuBlockSize,
                         std::size_t num_threads = 0);
 
-/// Decompresses a compress_parallel() file using the common-queue pool.
+/// Decompresses a compress_parallel() file using the common-queue pool,
+/// each block straight into its slice of the result (Codec's contract).
 Bytes decompress_parallel(const Codec& codec, ByteSpan file,
                           std::size_t num_threads = 0,
                           bool verify_checksums = true);

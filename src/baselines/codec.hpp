@@ -28,8 +28,12 @@ class Codec {
   /// Compresses one block into a self-contained payload.
   virtual Bytes compress_block(ByteSpan input) const = 0;
 
-  /// Decompresses one payload produced by compress_block.
-  virtual Bytes decompress_block(ByteSpan payload) const = 0;
+  /// Decompresses one payload produced by compress_block into `out`,
+  /// sized by the caller: the payload's size varint must equal
+  /// out.size(). Writes only inside `out`, so blocks decode in parallel
+  /// into adjacent slices of one buffer. Throws gompresso::Error on a
+  /// malformed payload, leaving `out` unspecified.
+  virtual void decompress_block(ByteSpan payload, MutableByteSpan out) const = 0;
 };
 
 /// Factories for the four §V-D baselines.

@@ -2,6 +2,7 @@
 
 #include "bitstream/bit_reader.hpp"
 #include "bitstream/bit_writer.hpp"
+#include "core/resolve_common.hpp"
 #include "huffman/code_builder.hpp"
 #include "huffman/decoder.hpp"
 #include "huffman/encoder.hpp"
@@ -73,13 +74,10 @@ Bytes DeflateLike::compress_block(ByteSpan input) const {
   return out;
 }
 
-Bytes DeflateLike::decompress_block(ByteSpan payload) const {
+void DeflateLike::decompress_block(ByteSpan payload, MutableByteSpan out) const {
   std::size_t pos = 0;
-  const std::uint64_t n = get_varint(payload, pos);
-  check(n <= (1ull << 32), "zlib-like: implausible size");
-  Bytes out;
-  out.reserve(static_cast<std::size_t>(n));
-  if (n == 0) return out;
+  check(get_varint(payload, pos) == out.size(), "zlib-like: size mismatch");
+  if (out.empty()) return;
 
   BitReader bits(payload, 8 * pos);
   const auto litlen_lengths = huffman::read_code_lengths(kLitLenAlphabet, bits);
@@ -90,12 +88,14 @@ Bytes DeflateLike::decompress_block(ByteSpan payload) const {
 
   // Fully sequential decode: each codeword's end position gates the next
   // codeword's start (the intra-block serial dependency of Inflate).
+  std::size_t o = 0;
   while (true) {
     const std::uint16_t sym = litlen_dec.decode(bits);
     check(sym != huffman::Decoder::kInvalidSymbol, "zlib-like: invalid lit/len code");
     check(!bits.overflowed(), "zlib-like: bitstream overrun");
     if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
+      check(o < out.size(), "zlib-like: output overrun");
+      out[o++] = static_cast<std::uint8_t>(sym);
       continue;
     }
     if (sym == kEndSymbol) break;
@@ -107,13 +107,10 @@ Bytes DeflateLike::decompress_block(ByteSpan payload) const {
     check(dsym != huffman::Decoder::kInvalidSymbol, "zlib-like: invalid distance code");
     const std::uint32_t dist =
         lz77::decode_distance(dsym, bits.read(lz77::distance_extra_bits(dsym)));
-    check(dist >= 1 && dist <= out.size(), "zlib-like: bad distance");
-    std::size_t src = out.size() - dist;
-    for (std::uint32_t i = 0; i < len; ++i) out.push_back(out[src + i]);
-    check(out.size() <= n, "zlib-like: output overrun");
+    core::copy_match(out, o, dist, len);
+    o += len;
   }
-  check(out.size() == n, "zlib-like: size mismatch");
-  return out;
+  check(o == out.size(), "zlib-like: size mismatch");
 }
 
 }  // namespace gompresso::baselines

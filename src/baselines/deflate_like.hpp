@@ -20,7 +20,7 @@ class DeflateLike final : public Codec {
 
   std::string name() const override { return "zlib-like"; }
   Bytes compress_block(ByteSpan input) const override;
-  Bytes decompress_block(ByteSpan payload) const override;
+  void decompress_block(ByteSpan payload, MutableByteSpan out) const override;
 
  private:
   std::uint32_t chain_depth_;

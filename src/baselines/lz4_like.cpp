@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/resolve_common.hpp"
 #include "lz77/matcher.hpp"
 #include "util/varint.hpp"
 
@@ -78,22 +79,21 @@ Bytes Lz4Like::compress_block(ByteSpan input) const {
   return out;
 }
 
-Bytes Lz4Like::decompress_block(ByteSpan payload) const {
+void Lz4Like::decompress_block(ByteSpan payload, MutableByteSpan out) const {
   std::size_t pos = 0;
-  const std::uint64_t n = get_varint(payload, pos);
-  check(n <= (1ull << 32), "lz4-like: implausible size");
-  Bytes out;
-  out.reserve(static_cast<std::size_t>(n));
-  while (out.size() < n) {
+  check(get_varint(payload, pos) == out.size(), "lz4-like: size mismatch");
+  std::size_t o = 0;
+  while (o < out.size()) {
     check(pos < payload.size(), "lz4-like: truncated token");
     const std::uint8_t token = payload[pos++];
     std::uint32_t lit_len = token >> 4;
     if (lit_len == 15) lit_len += get_length(payload, pos);
     check(pos + lit_len <= payload.size(), "lz4-like: truncated literals");
-    out.insert(out.end(), payload.begin() + static_cast<std::ptrdiff_t>(pos),
-               payload.begin() + static_cast<std::ptrdiff_t>(pos + lit_len));
+    check(lit_len <= out.size() - o, "lz4-like: literals past end of block");
+    std::memcpy(out.data() + o, payload.data() + pos, lit_len);
     pos += lit_len;
-    if (out.size() >= n) break;  // final literals-only sequence
+    o += lit_len;
+    if (o == out.size()) break;  // final literals-only sequence
     check(pos + 2 <= payload.size(), "lz4-like: truncated offset");
     const std::uint32_t offset = static_cast<std::uint32_t>(payload[pos]) |
                                  (static_cast<std::uint32_t>(payload[pos + 1]) << 8);
@@ -101,12 +101,9 @@ Bytes Lz4Like::decompress_block(ByteSpan payload) const {
     std::uint32_t match_len = token & 0xF;
     if (match_len == 15) match_len += get_length(payload, pos);
     match_len += kMinMatch;
-    check(offset >= 1 && offset <= out.size(), "lz4-like: bad offset");
-    std::size_t src = out.size() - offset;
-    for (std::uint32_t i = 0; i < match_len; ++i) out.push_back(out[src + i]);
+    core::copy_match(out, o, offset, match_len);
+    o += match_len;
   }
-  check(out.size() == n, "lz4-like: size mismatch");
-  return out;
 }
 
 }  // namespace gompresso::baselines

@@ -16,7 +16,7 @@ class Lz4Like final : public Codec {
  public:
   std::string name() const override { return "lz4-like"; }
   Bytes compress_block(ByteSpan input) const override;
-  Bytes decompress_block(ByteSpan payload) const override;
+  void decompress_block(ByteSpan payload, MutableByteSpan out) const override;
 };
 
 }  // namespace gompresso::baselines

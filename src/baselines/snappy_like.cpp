@@ -1,7 +1,9 @@
 #include "baselines/snappy_like.hpp"
 
 #include <algorithm>
+#include <cstring>
 
+#include "core/resolve_common.hpp"
 #include "lz77/matcher.hpp"
 #include "util/varint.hpp"
 
@@ -94,13 +96,11 @@ Bytes SnappyLike::compress_block(ByteSpan input) const {
   return out;
 }
 
-Bytes SnappyLike::decompress_block(ByteSpan payload) const {
+void SnappyLike::decompress_block(ByteSpan payload, MutableByteSpan out) const {
   std::size_t pos = 0;
-  const std::uint64_t n = get_varint(payload, pos);
-  check(n <= (1ull << 32), "snappy-like: implausible size");
-  Bytes out;
-  out.reserve(static_cast<std::size_t>(n));
-  while (out.size() < n) {
+  check(get_varint(payload, pos) == out.size(), "snappy-like: size mismatch");
+  std::size_t o = 0;
+  while (o < out.size()) {
     check(pos < payload.size(), "snappy-like: truncated tag");
     const std::uint8_t tag = payload[pos++];
     const std::uint8_t kind = tag & 3;
@@ -119,34 +119,32 @@ Bytes SnappyLike::decompress_block(ByteSpan payload) const {
         check(len <= 60, "snappy-like: bad literal tag");
       }
       check(pos + len <= payload.size(), "snappy-like: truncated literals");
-      out.insert(out.end(), payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                 payload.begin() + static_cast<std::ptrdiff_t>(pos + len));
+      check(len <= out.size() - o, "snappy-like: literals past end of block");
+      std::memcpy(out.data() + o, payload.data() + pos, len);
       pos += len;
-    } else if (kind == kTagCopy1) {
+      o += len;
+      continue;
+    }
+    std::uint32_t len = 0;
+    std::uint32_t offset = 0;
+    if (kind == kTagCopy1) {
       check(pos < payload.size(), "snappy-like: truncated copy1");
-      const std::uint32_t len = ((tag >> 2) & 7) + 4;
-      const std::uint32_t offset =
-          (static_cast<std::uint32_t>(tag >> 5) << 8) | payload[pos++];
-      check(offset >= 1 && offset <= out.size(), "snappy-like: bad offset");
-      std::size_t src = out.size() - offset;
-      for (std::uint32_t i = 0; i < len; ++i) out.push_back(out[src + i]);
+      len = ((tag >> 2) & 7) + 4;
+      offset = (static_cast<std::uint32_t>(tag >> 5) << 8) | payload[pos++];
     } else if (kind == kTagCopy2) {
       check(pos + 2 <= payload.size(), "snappy-like: truncated copy2");
-      const std::uint32_t len = (tag >> 2) + 1;
-      const std::uint32_t offset = static_cast<std::uint32_t>(payload[pos]) |
-                                   (static_cast<std::uint32_t>(payload[pos + 1]) << 8);
+      len = (tag >> 2) + 1;
+      offset = static_cast<std::uint32_t>(payload[pos]) |
+               (static_cast<std::uint32_t>(payload[pos + 1]) << 8);
       pos += 2;
-      check(offset >= 1 && offset <= out.size(), "snappy-like: bad offset");
-      std::size_t src = out.size() - offset;
-      for (std::uint32_t i = 0; i < len; ++i) out.push_back(out[src + i]);
     } else {
       // Data-level failure in an untrusted payload: corruption, not
-      // config — callers classify by type (PR-6 taxonomy).
+      // config — callers classify by type (util/common.hpp).
       throw CorruptionError("snappy-like: unsupported tag kind");
     }
+    core::copy_match(out, o, offset, len);
+    o += len;
   }
-  check(out.size() == n, "snappy-like: size mismatch");
-  return out;
 }
 
 }  // namespace gompresso::baselines

@@ -13,7 +13,7 @@ class SnappyLike final : public Codec {
  public:
   std::string name() const override { return "snappy-like"; }
   Bytes compress_block(ByteSpan input) const override;
-  Bytes decompress_block(ByteSpan payload) const override;
+  void decompress_block(ByteSpan payload, MutableByteSpan out) const override;
 };
 
 }  // namespace gompresso::baselines

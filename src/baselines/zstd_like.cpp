@@ -2,6 +2,7 @@
 
 #include "ans/tans.hpp"
 #include "lz77/parser.hpp"
+#include "lz77/ref_decoder.hpp"
 #include "util/varint.hpp"
 
 namespace gompresso::baselines {
@@ -39,13 +40,10 @@ Bytes ZstdLike::compress_block(ByteSpan input) const {
   return out;
 }
 
-Bytes ZstdLike::decompress_block(ByteSpan payload) const {
+void ZstdLike::decompress_block(ByteSpan payload, MutableByteSpan out) const {
   std::size_t pos = 0;
-  const std::uint64_t n = get_varint(payload, pos);
-  check(n <= (1ull << 32), "zstd-like: implausible size");
-  Bytes out;
-  out.reserve(static_cast<std::size_t>(n));
-  if (n == 0) return out;
+  check(get_varint(payload, pos) == out.size(), "zstd-like: size mismatch");
+  if (out.empty()) return;
 
   const std::uint64_t seq_bytes = get_varint(payload, pos);
   check(pos + seq_bytes <= payload.size(), "zstd-like: truncated sequences");
@@ -57,27 +55,24 @@ Bytes ZstdLike::decompress_block(ByteSpan payload) const {
   const Bytes literals =
       ans::decode(payload.subspan(pos, static_cast<std::size_t>(lit_bytes)));
 
+  // The (lit_len, match_len, dist) stream is exactly lz77::Sequence, so
+  // the production resolver does the copying and the bounds checks.
   std::size_t spos = 0;
   const std::uint64_t n_seq = get_varint(seq_stream, spos);
-  std::size_t lit_cursor = 0;
-  for (std::uint64_t k = 0; k < n_seq; ++k) {
+  // A sequence costs at least two varint bytes.
+  check(n_seq <= seq_stream.size(), "zstd-like: implausible sequence count");
+  std::vector<lz77::Sequence> sequences(static_cast<std::size_t>(n_seq));
+  for (lz77::Sequence& seq : sequences) {
     const std::uint64_t lit_len = get_varint(seq_stream, spos);
     const std::uint64_t match_len = get_varint(seq_stream, spos);
-    check(lit_cursor + lit_len <= literals.size(), "zstd-like: literal overrun");
-    out.insert(out.end(), literals.begin() + static_cast<std::ptrdiff_t>(lit_cursor),
-               literals.begin() + static_cast<std::ptrdiff_t>(lit_cursor + lit_len));
-    lit_cursor += static_cast<std::size_t>(lit_len);
-    if (match_len != 0) {
-      const std::uint64_t dist = get_varint(seq_stream, spos);
-      check(dist >= 1 && dist <= out.size(), "zstd-like: bad distance");
-      std::size_t src = out.size() - static_cast<std::size_t>(dist);
-      for (std::uint64_t i = 0; i < match_len; ++i) out.push_back(out[src + i]);
-    }
-    check(out.size() <= n, "zstd-like: output overrun");
+    const std::uint64_t dist = match_len != 0 ? get_varint(seq_stream, spos) : 0;
+    check(((lit_len | match_len | dist) >> 32) == 0, "zstd-like: sequence field overflow");
+    seq = {static_cast<std::uint32_t>(lit_len), static_cast<std::uint32_t>(match_len),
+           static_cast<std::uint32_t>(dist)};
   }
-  check(out.size() == n, "zstd-like: size mismatch");
-  check(lit_cursor == literals.size(), "zstd-like: unconsumed literals");
-  return out;
+  const std::uint64_t written =
+      lz77::resolve_span(sequences, literals.data(), literals.size(), out, /*base=*/0);
+  check(written == out.size(), "zstd-like: size mismatch");
 }
 
 }  // namespace gompresso::baselines

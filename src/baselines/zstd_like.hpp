@@ -21,7 +21,7 @@ class ZstdLike final : public Codec {
 
   std::string name() const override { return "zstd-like"; }
   Bytes compress_block(ByteSpan input) const override;
-  Bytes decompress_block(ByteSpan payload) const override;
+  void decompress_block(ByteSpan payload, MutableByteSpan out) const override;
 
  private:
   std::uint32_t chain_depth_;

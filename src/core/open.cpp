@@ -63,8 +63,9 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
         const Bytes sidecar = read_file_bytes(options.sidecar_path);
         check_format(sidecar_magic(sidecar) == ingest::kGzipIndexMagic,
                      "open: sidecar format does not match the container");
-        backend = ingest::make_gzip_backend(ingest::GzipIndex::deserialize(
-            ByteSpan(sidecar.data(), sidecar.size())));
+        backend = ingest::make_gzip_backend(
+            ingest::GzipIndex::deserialize(ByteSpan(sidecar.data(), sidecar.size())),
+            options.session.verify_checksums);
         break;
       }
       ingest::GzipIndexOptions g = options.gzip;
@@ -76,7 +77,8 @@ std::shared_ptr<serve::ContainerBackend> open_backend(
                      ? options.session.pool
                      : resolve_pool(options.session.num_threads, own_pool);
       }
-      backend = ingest::make_gzip_backend(ingest::GzipIndex::build(source, g));
+      backend = ingest::make_gzip_backend(ingest::GzipIndex::build(source, g),
+                                          options.session.verify_checksums);
       break;
     }
     case format::ContainerKind::kUnknown:

@@ -2,12 +2,15 @@
 
 #include <utility>
 
+#include "util/crc32.hpp"
+
 namespace gompresso::ingest {
 namespace {
 
 class GzipBackend final : public serve::ContainerBackend {
  public:
-  explicit GzipBackend(GzipIndex index) : index_(std::move(index)) {}
+  GzipBackend(GzipIndex index, bool verify_checksums)
+      : index_(std::move(index)), verify_checksums_(verify_checksums) {}
   const GzipIndex& index() const { return index_; }
 
   const char* kind_name() const override { return "gzip"; }
@@ -58,16 +61,21 @@ class GzipBackend final : public serve::ContainerBackend {
                   "gzip: chunk ended at an unexpected bit");
     check_corrupt(sink.produced() == out.size(),
                   "gzip: chunk produced an unexpected byte count");
+    if (verify_checksums_) {
+      check_corrupt(crc32(out) == c.crc32, "gzip: chunk CRC32 mismatch");
+    }
   }
 
  private:
   const GzipIndex index_;
+  const bool verify_checksums_;
 };
 
 }  // namespace
 
-std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index) {
-  return std::make_shared<GzipBackend>(std::move(index));
+std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index,
+                                                           bool verify_checksums) {
+  return std::make_shared<GzipBackend>(std::move(index), verify_checksums);
 }
 
 const GzipIndex* gzip_index(const serve::ContainerBackend& backend) {

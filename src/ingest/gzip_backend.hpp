@@ -5,7 +5,7 @@
 // container. Each "block" is one GzipChunk of the discovered index:
 // decode stages the chunk's compressed byte extent, then re-inflates
 // it with its checkpointed 32 KiB start window — no markers, no
-// dependence on neighbouring chunks.
+// dependence on neighbouring chunks — and checks the chunk's CRC32.
 #pragma once
 
 #include <memory>
@@ -15,8 +15,12 @@
 
 namespace gompresso::ingest {
 
-/// Wraps a prebuilt (or sidecar-loaded) index.
-std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index);
+/// Wraps a prebuilt (or sidecar-loaded) index. `verify_checksums` is
+/// captured for every block decode: each chunk's output is checked
+/// against the CRC32 its index recorded (as serve::make_gmpz_backend
+/// checks a native block's).
+std::shared_ptr<serve::ContainerBackend> make_gzip_backend(GzipIndex index,
+                                                           bool verify_checksums = true);
 
 /// The GzipIndex behind `backend` (`gomp info` prints its member count), or
 /// nullptr when it is not a gzip backend.

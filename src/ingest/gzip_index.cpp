@@ -151,13 +151,21 @@ std::vector<SegmentCrc> patch_segment_crcs(std::span<const std::uint16_t> tokens
 }
 
 /// Chains every run's segment CRCs, in stream order, into whole-member
-/// CRC32/ISIZE checks against the trailers.
-void verify_member_trailers(const std::vector<ChunkTask>& cells) {
+/// CRC32/ISIZE checks against the trailers, and folds each run's
+/// segments into the CRC32 of its chunk. Every run with output became
+/// one chunk, in the same order.
+void verify_members_and_checksum_chunks(const std::vector<ChunkTask>& cells,
+                                        std::vector<GzipChunk>& chunks) {
   std::uint32_t crc = 0;
   std::uint64_t len = 0;
+  std::size_t next_chunk = 0;
   const auto chain = [&](const std::vector<MemberEvent>& members,
                          const std::vector<SegmentCrc>& segments) {
+    std::uint32_t run_crc = 0;
+    std::uint64_t run_len = 0;
     for (std::size_t k = 0; k < segments.size(); ++k) {
+      run_crc = crc32_combine(run_crc, segments[k].crc, segments[k].len);
+      run_len += segments[k].len;
       crc = crc32_combine(crc, segments[k].crc, segments[k].len);
       len += segments[k].len;
       if (k == members.size()) break;  // the member continues in the next run
@@ -167,11 +175,16 @@ void verify_member_trailers(const std::vector<ChunkTask>& cells) {
       crc = 0;
       len = 0;
     }
+    if (run_len == 0) return;
+    check(next_chunk < chunks.size() && chunks[next_chunk].uncomp_size == run_len,
+          "gzip: run does not match its indexed chunk");
+    chunks[next_chunk++].crc32 = run_crc;
   };
   for (const ChunkTask& t : cells) {
     chain(t.members, t.segments);
     for (const RunCheck& run : t.more) chain(run.members, run.segments);
   }
+  check(next_chunk == chunks.size(), "gzip: indexed chunk without a checksum");
 }
 
 /// Decodes resolved bytes from absolute `start_bit` until the first
@@ -659,7 +672,7 @@ GzipIndex GzipIndex::build(serve::ByteSource& source,
   }
 
   check_corrupt(st.eos(), "gzip: stream ended without a final member trailer");
-  verify_member_trailers(cells);
+  verify_members_and_checksum_chunks(cells, st.chunks);
   idx.chunks_ = std::move(st.chunks);
   idx.windows_ = std::move(st.windows);
   idx.num_members_ = st.num_members;
@@ -688,6 +701,7 @@ Bytes GzipIndex::serialize() const {
     put_varint(out, c.end_bit);
     put_varint(out, c.uncomp_offset);
     put_varint(out, c.uncomp_size);
+    put_u32le(out, c.crc32);
     put_varint(out, c.window_bytes);
     const ByteSpan w(windows_.data() + c.window_offset, c.window_bytes);
     out.insert(out.end(), w.begin(), w.end());
@@ -699,14 +713,18 @@ GzipIndex GzipIndex::deserialize(ByteSpan sidecar) {
   util::SpanReader reader(sidecar);
   check_format(reader.read_u32le() == kGzipIndexMagic,
                "gzip: bad seek-index magic");
-  check_format(reader.read_u8() == kGzipIndexVersion,
-               "gzip: unsupported seek-index version");
+  const unsigned version = reader.read_u8();
+  if (version != kGzipIndexVersion) {
+    throw FormatError("gzip: seek-index version " + std::to_string(version) +
+                      " is not supported (this build reads version " +
+                      std::to_string(kGzipIndexVersion) + "; rebuild the sidecar)");
+  }
   GzipIndex idx;
   idx.source_size_ = reader.read_varint();
   idx.total_uncompressed_ = reader.read_varint();
   idx.num_members_ = reader.read_varint();
   const std::uint64_t count = reader.read_varint();
-  // A chunk costs >= 6 sidecar bytes, so an implausible count fails
+  // A chunk costs >= 9 sidecar bytes, so an implausible count fails
   // fast instead of reserving unbounded memory.
   check_format(count <= sidecar.size(), "gzip: implausible chunk count");
   std::uint64_t expect_offset = 0;
@@ -717,6 +735,7 @@ GzipIndex GzipIndex::deserialize(ByteSpan sidecar) {
     c.end_bit = reader.read_varint();
     c.uncomp_offset = reader.read_varint();
     c.uncomp_size = reader.read_varint();
+    c.crc32 = reader.read_u32le();
     const std::uint64_t wbytes = reader.read_varint();
     check_format(c.start_bit >= prev_end_bit && c.start_bit < c.end_bit &&
                      c.end_bit <= 8 * idx.source_size_,

@@ -23,9 +23,11 @@
 //
 // Member CRC32/ISIZE trailers are always verified during the build:
 // each chunk is checksummed per member segment where it is patched,
-// and crc32_combine chains the segments across chunk boundaries. That
-// is what lets GzipBackend::decode_block skip whole-member
-// verification it has no context for.
+// and crc32_combine chains the segments across chunk boundaries. The
+// same segment checksums, folded per chunk, give each chunk the CRC32
+// of its output; the GZIX sidecar stores it, and GzipBackend checks it
+// on every decode, so a reopen that skips the build (and with it the
+// trailer checks) still never serves bytes the build did not see.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,7 @@
 namespace gompresso::ingest {
 
 inline constexpr std::uint32_t kGzipIndexMagic = 0x58495A47u;  // "GZIX"
-inline constexpr std::uint8_t kGzipIndexVersion = 1;
+inline constexpr std::uint8_t kGzipIndexVersion = 2;
 
 /// One independently decodable run of DEFLATE blocks. Bits are absolute
 /// within the source file; a run may span gzip member boundaries (the
@@ -51,6 +53,7 @@ struct GzipChunk {
   std::uint64_t end_bit = 0;        // one past the last consumed bit
   std::uint64_t uncomp_offset = 0;  // cumulative output offset
   std::uint64_t uncomp_size = 0;    // bytes this chunk produces
+  std::uint32_t crc32 = 0;          // CRC32 of those bytes
   std::uint64_t window_offset = 0;  // into the shared window pool
   std::uint32_t window_bytes = 0;   // 0 (stream start) or kWindowSize
 };
@@ -84,7 +87,9 @@ class GzipIndex {
 
   /// Sidecar round trip (same discipline as serve::SeekIndex):
   /// deserialize() validates magic/version and every invariant the
-  /// decode path depends on, since a sidecar is untrusted input.
+  /// decode path depends on, since a sidecar is untrusted input. A
+  /// sidecar of another version (version 1 had no chunk CRCs) fails
+  /// with a FormatError that names it.
   Bytes serialize() const;
   static GzipIndex deserialize(ByteSpan sidecar);
   void save(const std::string& path) const;

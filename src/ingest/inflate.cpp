@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "core/decode_tables.hpp"
+#include "core/resolve_common.hpp"
 #include "huffman/decoder.hpp"
 #include "ingest/gzip_format.hpp"
 #include "lz77/deflate_tables.hpp"
@@ -297,48 +299,34 @@ void reserve_for(Vec& v, std::size_t length) {
   }
 }
 
+/// Copies a match into out[pos, pos + length): the part that reaches
+/// before the member's first output byte (member_base) comes from the
+/// start window in one memcpy, the rest is an in-output back-reference.
+void copy_with_window(MutableByteSpan out, std::uint64_t pos, std::uint64_t member_base,
+                      ByteSpan window, std::uint32_t length, std::uint32_t distance) {
+  const std::uint64_t rel = pos - member_base;
+  const std::uint64_t from_window = distance > rel ? distance - rel : 0;
+  check_corrupt(from_window <= window.size(), "gzip: back-reference beyond window");
+  const auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(length, from_window));
+  if (n != 0) std::memcpy(out.data() + pos, window.data() + (window.size() - from_window), n);
+  // Past the window part the source starts at the member's first byte.
+  if (n < length) core::copy_match(out, pos + n, distance, length - n);
+}
+
 }  // namespace
 
 void ByteSink::copy(std::uint32_t length, std::uint32_t distance) {
-  check_corrupt(length <= cap_ - pos_, "gzip: block decodes past its indexed size");
-  std::uint64_t rel = pos_ - member_base_;
-  if (distance > rel) {
-    const std::uint64_t from_window = distance - rel;
-    check_corrupt(from_window <= window_.size(),
-                  "gzip: back-reference beyond window");
-    const std::uint8_t* wsrc = window_.data() + (window_.size() - from_window);
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(length, from_window));
-    for (std::uint32_t k = 0; k < n; ++k) out_[pos_++] = wsrc[k];
-    length -= n;
-    if (length == 0) return;
-    // The window part is exhausted, so the source continues at the
-    // member's first output byte: distance <= pos_ - member_base_ now.
-  }
-  const std::uint8_t* src = out_ + (pos_ - distance);
-  for (std::uint32_t k = 0; k < length; ++k) out_[pos_++] = *src++;
+  check_corrupt(length <= out_.size() - pos_, "gzip: block decodes past its indexed size");
+  copy_with_window(out_, pos_, member_base_, window_, length, distance);
+  pos_ += length;
 }
 
 void GrowingByteSink::copy(std::uint32_t length, std::uint32_t distance) {
   guard_growth(length);
-  reserve_for(buf_, length);  // keep self-referencing pushes cheap
-  const std::uint64_t rel = buf_.size() - member_base_;
-  std::uint32_t remaining = length;
-  if (distance > rel) {
-    const std::uint64_t from_window = distance - rel;
-    check_corrupt(from_window <= window_.size(),
-                  "gzip: back-reference beyond window");
-    const std::uint8_t* wsrc = window_.data() + (window_.size() - from_window);
-    const std::uint32_t n = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(remaining, from_window));
-    buf_.insert(buf_.end(), wsrc, wsrc + n);
-    remaining -= n;
-  }
-  // In-buffer overlap copy: the window part is exhausted, so the source
-  // lies inside the member's output.
-  for (std::uint32_t k = 0; k < remaining; ++k) {
-    buf_.push_back(buf_[buf_.size() - distance]);
-  }
+  const std::size_t pos = buf_.size();
+  reserve_for(buf_, length);  // geometric: a match chain stays linear
+  buf_.resize(pos + length);
+  copy_with_window(buf_, pos, member_base_, window_, length, distance);
 }
 
 void MarkerSink::copy(std::uint32_t length, std::uint32_t distance) {

@@ -121,12 +121,12 @@ std::uint64_t last_equivalent_start(ByteSpan data, std::uint64_t bit);
 class ByteSink {
  public:
   ByteSink(MutableByteSpan out, ByteSpan start_window)
-      : out_(out.data()), cap_(out.size()), window_(start_window) {}
+      : out_(out), window_(start_window) {}
 
   std::uint64_t produced() const { return pos_; }
 
   void push(std::uint8_t b) {
-    check_corrupt(pos_ < cap_, "gzip: block decodes past its indexed size");
+    check_corrupt(pos_ < out_.size(), "gzip: block decodes past its indexed size");
     out_[pos_++] = b;
   }
 
@@ -139,8 +139,7 @@ class ByteSink {
   }
 
  private:
-  std::uint8_t* out_;
-  std::size_t cap_;
+  MutableByteSpan out_;
   std::size_t pos_ = 0;
   ByteSpan window_;
   std::size_t member_base_ = 0;

@@ -2,7 +2,9 @@
 //
 // resolve_span is production decode's LZ77 resolver (core::decode_block_at
 // runs it on every coded block), the correctness oracle for the warp
-// simulator, and the inner loop of the CPU baseline codecs.
+// simulator, and the zstd-like baseline's sequence resolver. Its copy
+// primitives live in core/resolve_common.hpp, shared with the decoders
+// that copy one checked match at a time (core::copy_match).
 #pragma once
 
 #include <span>

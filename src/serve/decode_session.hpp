@@ -107,7 +107,8 @@ struct SessionOptions {
   /// (resolve_pool, util/thread_pool.hpp).
   std::size_t num_threads = 0;
   /// Verify each block's CRC32. Read by gompresso::open() when it builds
-  /// the native backend; a backend passed in directly carries its own.
+  /// either backend (a native block's stored CRC, a gzip chunk's indexed
+  /// CRC); a backend passed in directly carries its own.
   bool verify_checksums = true;
   /// Transient-failure retry discipline for source reads + block decode.
   RetryPolicy retry;

@@ -1,9 +1,10 @@
 // Mutation fuzz for the seek-index sidecars ("GMPX", "GZIX"). A sidecar
 // is untrusted input like the container it indexes: every mutant must
 // either parse or throw FormatError, and a mutant that parses, opened as
-// the sidecar of the real container, must read to the end or throw a
-// gompresso::Error. Crashes and sanitizer reports are the failures
-// this hunts (the ASan/UBSan and TSan jobs run both callers).
+// the sidecar of the real container, must read back exactly the
+// container's bytes or throw a gompresso::Error. Serving other bytes
+// without an error is a failure, as are crashes and sanitizer reports
+// (the ASan/UBSan and TSan jobs run both callers).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -47,16 +48,18 @@ inline Bytes mutate_sidecar(const Bytes& valid, Rng& rng) {
 
 struct SidecarFuzzCounts {
   int rejected = 0;  // parse threw FormatError
-  int loaded = 0;    // parsed, then read to the end or threw an Error
+  int loaded = 0;    // parsed, then read back `expected` or threw an Error
 };
 
 /// Runs fuzz_trials(300) mutants of `valid` through `parse` (the
 /// sidecar's deserialize), and each mutant that parses through open()
-/// over `container`, read to the end on one thread. `path` is the
-/// temporary file each mutant is written to.
+/// over `container`, read to the end on one thread; what it reads must
+/// be `expected` (the container's decoded bytes) unless it throws.
+/// `path` is the temporary file each mutant is written to.
 template <typename Parse>
 SidecarFuzzCounts fuzz_sidecar(const Bytes& valid, const Bytes& container,
-                               const std::string& path, Parse&& parse) {
+                               const Bytes& expected, const std::string& path,
+                               Parse&& parse) {
   SidecarFuzzCounts counts;
   Rng rng(0x5EEDCA5Eu);
   const int trials = fuzz_trials(300);
@@ -82,9 +85,14 @@ SidecarFuzzCounts fuzz_sidecar(const Bytes& valid, const Bytes& container,
     opt.session.num_threads = 1;
     try {
       const auto session = open(serve::memory_source(container), opt);
+      Bytes served;
       Bytes chunk(64 * 1024);
-      while (session->read(MutableByteSpan(chunk.data(), chunk.size())) > 0) {
+      while (const std::size_t n = session->read(MutableByteSpan(chunk.data(), chunk.size()))) {
+        served.insert(served.end(), chunk.begin(), chunk.begin() + static_cast<long>(n));
       }
+      EXPECT_TRUE(served == expected)
+          << "trial " << trial << ": a loaded mutant served " << served.size()
+          << " bytes that differ from the " << expected.size() << " expected, with no error";
     } catch (const Error&) {
     } catch (const std::exception& e) {
       ADD_FAILURE() << "trial " << trial << ": open/read threw " << e.what();

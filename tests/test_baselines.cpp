@@ -5,10 +5,61 @@
 #include "baselines/codec.hpp"
 #include "baselines/deflate_like.hpp"
 #include "datagen/datasets.hpp"
+#include "fuzz_budget.hpp"
 #include "util/rng.hpp"
 
 namespace gompresso::baselines {
 namespace {
+
+/// An output span placed inside a buffer of canary bytes: a decode into
+/// span() that writes past either end (a wild copy overrunning its
+/// slice, say) changes a canary. ASan cannot see such a write, because
+/// it stays inside one allocation.
+class GuardedSpan {
+ public:
+  static constexpr std::size_t kGuard = 64;
+  static constexpr std::uint8_t kCanary = 0xA5;
+
+  explicit GuardedSpan(std::size_t size) : buf_(size + 2 * kGuard, kCanary), size_(size) {}
+
+  MutableByteSpan span() { return MutableByteSpan(buf_.data() + kGuard, size_); }
+  Bytes contents() const {
+    return Bytes(buf_.begin() + kGuard, buf_.begin() + static_cast<long>(kGuard + size_));
+  }
+  bool canaries_intact() const {
+    for (std::size_t i = 0; i < kGuard; ++i) {
+      if (buf_[i] != kCanary || buf_[kGuard + size_ + i] != kCanary) return false;
+    }
+    return true;
+  }
+
+ private:
+  Bytes buf_;
+  std::size_t size_;
+};
+
+/// Decodes one payload of a `size`-byte block into a guarded span.
+Bytes decode_guarded(const Codec& codec, ByteSpan payload, std::size_t size) {
+  GuardedSpan out(size);
+  codec.decompress_block(payload, out.span());
+  EXPECT_TRUE(out.canaries_intact()) << codec.name();
+  return out.contents();
+}
+
+/// Text, long runs and random bytes: matches at distance 1, 2-15 and
+/// 16+, each both far from the block end (wild copies) and within a
+/// chunk of it (exact copies).
+Bytes mixed_input() {
+  Bytes input = datagen::wikipedia(24000);
+  input.insert(input.end(), 3000, 'e');
+  const Bytes pattern = {'a', 'b', 'c', 'd', 'e', 'f', 'g'};
+  for (int i = 0; i < 500; ++i) input.insert(input.end(), pattern.begin(), pattern.end());
+  const Bytes noise = datagen::random_bytes(2000, 5);
+  input.insert(input.end(), noise.begin(), noise.end());
+  const Bytes tail = datagen::wikipedia(3000);
+  input.insert(input.end(), tail.begin(), tail.end());
+  return input;
+}
 
 std::unique_ptr<Codec> make_codec(int id) {
   switch (id) {
@@ -42,7 +93,7 @@ TEST_P(BaselineRoundTrip, SingleBlock) {
     default: FAIL();
   }
   const Bytes payload = codec->compress_block(input);
-  EXPECT_EQ(codec->decompress_block(payload), input)
+  EXPECT_EQ(decode_guarded(*codec, payload, input.size()), input)
       << codec->name() << " dataset " << which;
 }
 
@@ -85,7 +136,7 @@ TEST(DeflateChainDepth, DeeperChainsCompressBetter) {
   const Bytes p_shallow = shallow.compress_block(input);
   const Bytes p_deep = deep.compress_block(input);
   EXPECT_LE(p_deep.size(), p_shallow.size());
-  EXPECT_EQ(deep.decompress_block(p_deep), input);
+  EXPECT_EQ(decode_guarded(deep, p_deep, input.size()), input);
 }
 
 TEST(BlockParallel, RoundTripAllCodecs) {
@@ -136,6 +187,88 @@ TEST(BlockParallel, TruncatedFileThrows) {
   const Bytes file = compress_parallel(*codec, input, 64 * 1024);
   Bytes cut(file.begin(), file.begin() + static_cast<std::ptrdiff_t>(file.size() / 2));
   EXPECT_THROW(decompress_parallel(*codec, cut), Error);
+}
+
+TEST(SpanDecode, MutatedPayloadsThrowOrStayInsideTheirSpan) {
+  // Byte flips and truncations of one block's payload: the decode must
+  // succeed or throw Error, and never write outside its span.
+  const Bytes input = mixed_input();
+  const int trials = testing::fuzz_trials(300);
+  for (int id = 0; id < 4; ++id) {
+    const auto codec = make_codec(id);
+    const Bytes payload = codec->compress_block(input);
+    ASSERT_EQ(decode_guarded(*codec, payload, input.size()), input) << codec->name();
+    Rng rng(0xC0DEC + static_cast<std::uint64_t>(id));
+    for (int trial = 0; trial < trials; ++trial) {
+      Bytes m = payload;
+      if (rng.next_below(4) == 0) {
+        m.resize(rng.next_below(m.size()));
+      } else {
+        const std::uint64_t flips = 1 + rng.next_below(4);
+        for (std::uint64_t i = 0; i < flips; ++i) {
+          m[rng.next_below(m.size())] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+        }
+      }
+      GuardedSpan out(input.size());
+      try {
+        codec->decompress_block(m, out.span());
+      } catch (const Error&) {
+      }
+      ASSERT_TRUE(out.canaries_intact()) << codec->name() << " trial " << trial;
+    }
+  }
+}
+
+TEST(SpanDecode, MutatedBlockLeavesItsNeighboursIntact) {
+  // Blocks decode in parallel into adjacent slices of one buffer, so a
+  // neighbour's bytes are the canaries: flip bytes in one block's
+  // payload and, if the file still decodes (CRCs off), every other
+  // block must read back exactly. Under TSan a write into a neighbour's
+  // slice is also a race.
+  const Bytes input = mixed_input();
+  constexpr std::uint32_t kBlock = 4096;
+  const std::size_t num_blocks = div_ceil(input.size(), std::size_t{kBlock});
+  const int trials = testing::fuzz_trials(50);
+  for (int id = 0; id < 4; ++id) {
+    const auto codec = make_codec(id);
+    const Bytes file = compress_parallel(*codec, input, kBlock, 1);
+    // Payloads (CRC32 + codec payload) sit back to back at the file's end.
+    std::vector<std::size_t> begin(num_blocks + 1, file.size());
+    for (std::size_t b = num_blocks; b-- > 0;) {
+      const std::size_t len = std::min<std::size_t>(kBlock, input.size() - b * kBlock);
+      const ByteSpan block(input.data() + b * kBlock, len);
+      begin[b] = begin[b + 1] - 4 - codec->compress_block(block).size();
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      Rng rng(0xB10C + static_cast<std::uint64_t>(id) * 10 + threads);
+      for (int trial = 0; trial < trials; ++trial) {
+        const std::size_t hit = rng.next_below(num_blocks);
+        Bytes m = file;
+        const std::uint64_t flips = 1 + rng.next_below(4);
+        for (std::uint64_t i = 0; i < flips; ++i) {
+          const std::size_t at = begin[hit] + 4 + rng.next_below(begin[hit + 1] - begin[hit] - 4);
+          m[at] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+        }
+        Bytes out;
+        try {
+          out = decompress_parallel(*codec, m, threads, /*verify_checksums=*/false);
+        } catch (const Error&) {
+          continue;
+        }
+        ASSERT_EQ(out.size(), input.size());
+        for (std::size_t b = 0; b < num_blocks; ++b) {
+          if (b == hit) continue;
+          const std::size_t from = b * kBlock;
+          const std::size_t to = std::min<std::size_t>(from + kBlock, input.size());
+          ASSERT_TRUE(std::equal(out.begin() + static_cast<long>(from),
+                                 out.begin() + static_cast<long>(to),
+                                 input.begin() + static_cast<long>(from)))
+              << codec->name() << " threads " << threads << " trial " << trial
+              << ": block " << b << " changed by a flip in block " << hit;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

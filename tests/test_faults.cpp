@@ -320,8 +320,8 @@ TEST(ErrorTaxonomy, SidecarShorterThanHeaderIsFormatError) {
 
 TEST(ErrorTaxonomy, MutatedGmpxSidecarsParseOrFailTyped) {
   // A GMPX sidecar of a three-segment GMPS stream, mutated: each mutant
-  // parses or throws FormatError, and one that parses serves the real
-  // stream to the end or throws a typed error.
+  // parses or throws FormatError, and one that parses serves exactly the
+  // real stream's bytes or throws a typed error.
   const Bytes input = datagen::wikipedia(300000);
   std::istringstream in(std::string(input.begin(), input.end()));
   std::ostringstream out;
@@ -335,7 +335,7 @@ TEST(ErrorTaxonomy, MutatedGmpxSidecarsParseOrFailTyped) {
   ASSERT_EQ(index.num_segments(), 3u);
 
   const testing::SidecarFuzzCounts counts = testing::fuzz_sidecar(
-      index.serialize(), stream, "/tmp/gompresso_fault_sidecar_fuzz.gmpx",
+      index.serialize(), stream, input, "/tmp/gompresso_fault_sidecar_fuzz.gmpx",
       [](ByteSpan m) { serve::SeekIndex::deserialize(m); });
   EXPECT_GT(counts.rejected, 0);
   EXPECT_GT(counts.loaded, 0);

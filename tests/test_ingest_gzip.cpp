@@ -29,6 +29,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -744,8 +745,8 @@ TEST(IngestGzip, WrongSidecarFlavorIsRejected) {
 TEST(IngestGzip, MutatedGzixSidecarsParseOrFailTyped) {
   // A GZIX sidecar of a three-member .gz (stored, fixed-Huffman with
   // long back-references, stored), mutated: each mutant parses or throws
-  // FormatError, and one that parses serves the real file to the end or
-  // throws a typed error.
+  // FormatError, and one that parses serves exactly the real file's bytes
+  // or throws a typed error.
   const Bytes a = datagen::wikipedia(60000);
   const Bytes b = datagen::random_bytes(40000, 7);
   Bytes file = gzip_store_member(ByteSpan(a.data(), a.size()));
@@ -760,11 +761,141 @@ TEST(IngestGzip, MutatedGzixSidecarsParseOrFailTyped) {
   ASSERT_EQ(index.num_members(), 3u);
   ASSERT_GT(index.num_chunks(), 3u);
 
+  Bytes expected = a;
+  expected.resize(a.size() + 20 * (kAnchorZeros + 258 * 52), 0);
+  expected.insert(expected.end(), b.begin(), b.end());
   const testing::SidecarFuzzCounts counts = testing::fuzz_sidecar(
-      index.serialize(), file, temp_path("fuzz.gzix"),
+      index.serialize(), file, expected, temp_path("fuzz.gzix"),
       [](ByteSpan m) { ingest::GzipIndex::deserialize(m); });
   EXPECT_GT(counts.rejected, 0);
   EXPECT_GT(counts.loaded, 0);
+}
+
+TEST(IngestGzip, MutatedGzixSidecarsOfRealGzipServeExactBytes) {
+  // The same fuzz over real `gzip -6` text at a 16 KiB pitch, whose
+  // chunks reach back into their start windows: a mutant window decodes
+  // wrong bytes, which the chunk CRCs must turn into a typed error.
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  const Bytes input = datagen::wikipedia(400 * 1024);
+  const Bytes file = system_gzip(input, "fuzzreal");
+  auto src = serve::memory_source(ByteSpan(file.data(), file.size()));
+  ingest::GzipIndexOptions gopt;
+  gopt.chunk_size = 16 * 1024;
+  const ingest::GzipIndex index = ingest::GzipIndex::build(*src, gopt);
+  ASSERT_GE(index.num_chunks(), 2u);
+  const testing::SidecarFuzzCounts counts = testing::fuzz_sidecar(
+      index.serialize(), file, input, temp_path("fuzzreal.gzix"),
+      [](ByteSpan m) { ingest::GzipIndex::deserialize(m); });
+  EXPECT_GT(counts.loaded, 0);
+}
+
+TEST(IngestGzip, Version1SidecarIsAFormatErrorNamingTheVersion) {
+  const Bytes input = datagen::wikipedia(100000);
+  const Bytes file = gzip_store_member(ByteSpan(input.data(), input.size()));
+  auto src = serve::memory_source(ByteSpan(file.data(), file.size()));
+  ingest::GzipIndexOptions gopt;
+  gopt.chunk_size = 32 * 1024;
+  Bytes blob = ingest::GzipIndex::build(*src, gopt).serialize();
+  ASSERT_EQ(blob[4], ingest::kGzipIndexVersion);
+  blob[4] = 1;  // version 1: no chunk CRCs
+  try {
+    ingest::GzipIndex::deserialize(ByteSpan(blob.data(), blob.size()));
+    FAIL() << "a version-1 sidecar loaded";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos) << e.what();
+  }
+}
+
+TEST(IngestGzip, WrongStartWindowIsCaughtByTheChunkCrc) {
+  // A sidecar whose start window is wrong decodes wrong bytes; the
+  // chunk CRC it carries turns that into a CorruptionError, unless
+  // verify_checksums is off.
+  if (!have_gzip_binary()) GTEST_SKIP() << "no gzip binary on PATH";
+  const Bytes input = datagen::wikipedia(300000);
+  const Bytes file = system_gzip(input, "crcwin");
+  auto src = serve::memory_source(ByteSpan(file.data(), file.size()));
+  ingest::GzipIndexOptions gopt;
+  gopt.chunk_size = 16 * 1024;
+  const ingest::GzipIndex index = ingest::GzipIndex::build(*src, gopt);
+  ASSERT_GE(index.num_chunks(), 2u);
+  Bytes blob = index.serialize();
+  const ByteSpan window = index.window(1);
+  const auto at = std::search(blob.begin(), blob.end(), window.begin(), window.end());
+  ASSERT_NE(at, blob.end());
+  for (auto it = at; it != at + static_cast<long>(window.size()); ++it) *it ^= 0x20;
+  const std::string gz = temp_path("crcwin.gz");
+  const std::string sidecar = gz + ".gzix";
+  write_file(gz, ByteSpan(file.data(), file.size()));
+  write_file(sidecar, ByteSpan(blob.data(), blob.size()));
+
+  const ingest::GzipChunk& c = index.chunk(1);
+  Bytes out(static_cast<std::size_t>(c.uncomp_size));
+  OpenOptions opt;
+  opt.sidecar_path = sidecar;
+  opt.session.num_threads = 1;
+  {
+    auto session = open(gz, opt);
+    EXPECT_THROW(session->read_at(c.uncomp_offset, MutableByteSpan(out.data(), out.size())),
+                 CorruptionError);
+  }
+  opt.session.verify_checksums = false;
+  {
+    auto session = open(gz, opt);
+    ASSERT_EQ(session->read_at(c.uncomp_offset, MutableByteSpan(out.data(), out.size())),
+              out.size());
+    EXPECT_FALSE(std::equal(out.begin(), out.end(),
+                            input.begin() + static_cast<long>(c.uncomp_offset)));
+  }
+  std::remove(gz.c_str());
+  std::remove(sidecar.c_str());
+}
+
+/// Decodes every chunk of `file`'s index as GzipBackend does (a
+/// ByteSink with the chunk's start window), into a span inside a buffer
+/// of canary bytes, and checks the bytes and the canaries: a copy that
+/// writes past the span's end would change one.
+void decode_chunks_guarded(const Bytes& file, const Bytes& expected,
+                           std::uint64_t chunk_size) {
+  constexpr std::size_t kGuard = 64;
+  constexpr std::uint8_t kCanary = 0xA5;
+  auto src = serve::memory_source(ByteSpan(file.data(), file.size()));
+  ingest::GzipIndexOptions gopt;
+  gopt.chunk_size = chunk_size;
+  const ingest::GzipIndex index = ingest::GzipIndex::build(*src, gopt);
+  ASSERT_EQ(index.total_uncompressed(), expected.size());
+  ingest::InflateScratch scratch;
+  for (std::size_t i = 0; i < index.num_chunks(); ++i) {
+    const ingest::GzipChunk& c = index.chunk(i);
+    const std::size_t size = static_cast<std::size_t>(c.uncomp_size);
+    Bytes buf(size + 2 * kGuard, kCanary);
+    ingest::ByteSink sink(MutableByteSpan(buf.data() + kGuard, size), index.window(i));
+    ingest::ChunkResult res;
+    EXPECT_NE(ingest::inflate_chunk(ByteSpan(file.data(), file.size()), c.start_bit,
+                                    c.end_bit, file.size(), sink, scratch, res),
+              ingest::ChunkStatus::kNeedMoreData);
+    EXPECT_EQ(sink.produced(), size) << "chunk " << i;
+    EXPECT_TRUE(std::equal(buf.begin() + kGuard, buf.begin() + static_cast<long>(kGuard + size),
+                           expected.begin() + static_cast<long>(c.uncomp_offset)))
+        << "chunk " << i;
+    for (std::size_t g = 0; g < kGuard; ++g) {
+      ASSERT_EQ(buf[g], kCanary) << "chunk " << i;
+      ASSERT_EQ(buf[kGuard + size + g], kCanary) << "chunk " << i;
+    }
+  }
+}
+
+TEST(IngestGzip, ByteSinkStaysInsideItsSpan) {
+  // Stored blocks (literal pushes), zero runs (distance-1 matches, wild
+  // far from a chunk's end and exact near it) and, with a gzip binary,
+  // text (distance >= 16 wild copies and start-window copies).
+  const Bytes text = datagen::wikipedia(200000);
+  decode_chunks_guarded(gzip_store_member(ByteSpan(text.data(), text.size())), text,
+                        32 * 1024);
+  const Bytes zeros(30 * (kAnchorZeros + 258 * 53), 0);
+  decode_chunks_guarded(gzip_zero_runs_member(/*pairs=*/30, /*matches=*/53), zeros, 4096);
+  if (have_gzip_binary()) {
+    decode_chunks_guarded(system_gzip(text, "guard"), text, 16 * 1024);
+  }
 }
 
 // --------------------------------------------------------- chaos soak
