@@ -205,9 +205,12 @@ namespace {
 /// cost: one refill, one fused lit/len load, and (for matches) one fused
 /// offset load — no conditional refills and no secondary value-decode
 /// lookups on the critical path. Returns the lane's output byte count.
-std::uint64_t decode_subblock(ByteSpan payload, const SubblockLayout& lane,
-                              const FusedTables& tables, lz77::Sequence* seq_out,
-                              std::uint8_t* lit_out) {
+/// 64-byte aligned (see lz77::resolve_span).
+[[gnu::aligned(64)]] std::uint64_t decode_subblock(ByteSpan payload,
+                                                   const SubblockLayout& lane,
+                                                   const FusedTables& tables,
+                                                   lz77::Sequence* seq_out,
+                                                   std::uint8_t* lit_out) {
   BitReader reader(payload, lane.bit_offset);
   // Hoisted raw pointers: the byte stores through lit_out may alias
   // anything, so indexing through the vectors would reload their data

@@ -12,8 +12,9 @@ namespace gompresso::core {
 namespace {
 
 // Decode-plane metrics. The paper's cost model splits a block into
-// entropy decode (phase 1) and LZ77 resolution (phase 2); the two
-// histograms below are that breakdown, per block, in microseconds.
+// entropy decode (phase 1) and LZ77 resolution (phase 2); the first two
+// histograms below are that breakdown, per block, in microseconds, and
+// crc_us times the block checksum that follows when it is verified.
 struct DecodeObs {
   obs::Counter blocks = obs::registry().counter("decode.blocks", "blocks");
   obs::Counter stored_blocks =
@@ -23,6 +24,7 @@ struct DecodeObs {
       obs::registry().histogram("decode.entropy_us", "us");
   obs::Histogram resolve_us =
       obs::registry().histogram("decode.resolve_us", "us");
+  obs::Histogram crc_us = obs::registry().histogram("decode.crc_us", "us");
 };
 
 DecodeObs& decode_obs() {
@@ -101,6 +103,7 @@ void decode_block_at(const format::FileHeader& header, ByteSpan payload_with_crc
   decode_obs().bytes.add(out.size());
 
   if (verify_checksum) {
+    obs::StageScope stage("crc", "decode", decode_obs().crc_us);
     check_corrupt(crc32(ByteSpan(out.data(), out.size())) == stored_crc,
                   "decompress: block checksum mismatch (corrupt data)");
   }

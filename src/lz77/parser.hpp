@@ -62,11 +62,13 @@ TokenBlock parse_block(ByteSpan block, const ParserOptions& options,
 /// `de_ws`, when non-null, is a caller-owned DeConstraint whose interval
 /// storage is reused across blocks (the last piece of an allocation-free
 /// steady state). Decisions are identical to parse_block with a fresh
-/// matcher.
+/// matcher. 64-byte aligned, like ChainMatcher::find, so compress speed
+/// does not move with the size of code linked before it.
 template <typename Matcher>
-void parse_block_into(ByteSpan block, const ParserOptions& options, Matcher& matcher,
-                      TokenBlock& out, ParseStats* stats = nullptr,
-                      DeConstraint* de_ws = nullptr);
+[[gnu::aligned(64)]] void parse_block_into(ByteSpan block, const ParserOptions& options,
+                                           Matcher& matcher, TokenBlock& out,
+                                           ParseStats* stats = nullptr,
+                                           DeConstraint* de_ws = nullptr);
 
 /// Convenience wrapper using the single-slot HashMatcher (the Gompresso
 /// configuration).

@@ -22,6 +22,7 @@
 #include "core/gompresso.hpp"
 #include "datagen/datasets.hpp"
 #include "gmpz_session.hpp"
+#include "util/rng.hpp"
 
 namespace gompresso {
 namespace {
@@ -499,6 +500,37 @@ TEST(Metrics, GlobalSnapshotTracksDecodeWork) {
   const obs::MetricValue* lat = snap.find("decode.entropy_us");
   ASSERT_NE(lat, nullptr);
   EXPECT_GT(lat->hist.count(), 0u);
+}
+
+TEST(Metrics, CrcStageTimesEveryVerifiedBlock) {
+  // Text then random bytes: coded blocks and stored blocks in one
+  // archive. With checksums on, each block (either mode) adds one
+  // decode.crc_us sample; with them off, none.
+  Bytes input = datagen::wikipedia(200000);
+  Rng rng(5);
+  for (int i = 0; i < 100000; ++i) input.push_back(static_cast<std::uint8_t>(rng.next_u32()));
+  CompressOptions copt;
+  copt.block_size = 32 * 1024;
+  const Bytes file = compress(input, copt);
+
+  for (const bool verify : {true, false}) {
+    SCOPED_TRACE(verify ? "verify on" : "verify off");
+    const obs::MetricsSnapshot before = obs::metrics_snapshot();
+    DecompressOptions dopt;
+    dopt.verify_checksums = verify;
+    EXPECT_EQ(decompress(file, dopt).data, input);
+    const obs::MetricsSnapshot after = obs::metrics_snapshot();
+
+    const std::uint64_t blocks = after.counter("decode.blocks") - before.counter("decode.blocks");
+    EXPECT_EQ(blocks, (input.size() + copt.block_size - 1) / copt.block_size);
+    EXPECT_GT(after.counter("decode.stored_blocks"), before.counter("decode.stored_blocks"));
+    const obs::MetricValue* crc_before = before.find("decode.crc_us");
+    const obs::MetricValue* crc_after = after.find("decode.crc_us");
+    ASSERT_NE(crc_after, nullptr);
+    const std::uint64_t samples =
+        crc_after->hist.count() - (crc_before != nullptr ? crc_before->hist.count() : 0);
+    EXPECT_EQ(samples, verify ? blocks : 0u);
+  }
 }
 
 // --------------------------------------------------------- TSan coverage

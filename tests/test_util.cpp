@@ -2,6 +2,7 @@
 // arithmetic helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <sstream>
@@ -46,13 +47,20 @@ TEST(Crc32, CombineMatchesConcatenationOverRandomSplits) {
   Rng rng(7);
   Bytes data(100000);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
-  for (int trial = 0; trial < 50; ++trial) {
+  for (int trial = 0; trial < 200; ++trial) {
     const std::size_t len = 1 + rng.next_below(data.size());
-    const std::size_t split = rng.next_below(len + 1);
+    std::size_t split = rng.next_below(len + 1);
+    if (trial % 2 == 1) {
+      // Within two bytes of a 16- or 64-byte multiple: the first part
+      // ends just under or over the folded kernel's entry size or lane.
+      const std::size_t edge = (trial % 4 == 1 ? 16 : 64) * rng.next_below(64);
+      split = std::min(len, std::max<std::size_t>(edge, 2) - 2 + rng.next_below(5));
+    }
     const ByteSpan a(data.data(), split);
     const ByteSpan b(data.data() + split, len - split);
-    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()),
-              crc32(ByteSpan(data.data(), len)))
+    const std::uint32_t whole = detail::crc32_table(ByteSpan(data.data(), len));
+    EXPECT_EQ(crc32(b, crc32(a)), whole) << "len=" << len << " split=" << split;
+    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), whole)
         << "len=" << len << " split=" << split;
   }
 }
@@ -78,6 +86,45 @@ TEST(Crc32, CombineIsAssociativeBeyond4GiB) {
               crc32_combine(a, crc32_combine(b, c, len_c), len_b + len_c))
         << "len_b=" << len_b << " len_c=" << len_c;
   }
+}
+
+TEST(Crc32, MatchesTableAtEveryLengthAndAlignment) {
+  // Every length 0..4096 at every start alignment 0..63, from seed 0
+  // and from random seeds: the folded bulk, its 64-byte entry edge and
+  // the table tail must all agree with the table CRC. The oracle is
+  // extended one byte at a time with the table itself.
+  constexpr std::size_t kMaxLen = 4096, kAlignments = 64;
+  Rng rng(23);
+  Bytes data(kMaxLen + kAlignments);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u32());
+  std::size_t mismatches = 0;
+  for (std::size_t align = 0; align < kAlignments; ++align) {
+    const std::uint8_t* const base = data.data() + align;
+    for (const std::uint32_t seed : {0u, rng.next_u32()}) {
+      std::uint32_t oracle = detail::crc32_table(ByteSpan(base, 0), seed);
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        if (len > 0) oracle = detail::crc32_table(ByteSpan(base + len - 1, 1), oracle);
+        if (crc32(ByteSpan(base, len), seed) != oracle && ++mismatches <= 10) {
+          ADD_FAILURE() << "len=" << len << " align=" << align << " seed=" << seed;
+        }
+      }
+      EXPECT_EQ(detail::crc32_table(ByteSpan(base, kMaxLen), seed), oracle);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32, FoldsWithClmulWhereTheCpuHasIt) {
+  // A dispatch that silently falls back to the table on a PCLMULQDQ host
+  // computes the right values at a tenth of the speed; only this catches it.
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool host_has_clmul =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  const bool host_has_clmul = false;
+#endif
+  EXPECT_EQ(detail::crc32_uses_clmul(), host_has_clmul);
 }
 
 TEST(Crc32, DetectsSingleBitFlips) {
